@@ -12,7 +12,7 @@ sizes track the q_i.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.analysis.theory import fibonacci_size_bound
+from repro.core.theory import fibonacci_size_bound
 from repro.core import build_fibonacci_spanner
 from repro.graphs import grid_2d
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from repro.analysis.tables import format_table
-from repro.analysis.theory import theorem5_time_lower_bound
+from repro.core.theory import theorem5_time_lower_bound
 from repro.core.lower_bounds import run_locality_adversary
 from repro.graphs import lower_bound_graph
 

@@ -9,7 +9,7 @@ the measured distortion does not explode.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.analysis.theory import skeleton_distortion_bound
+from repro.core.theory import skeleton_distortion_bound
 from repro.core import build_skeleton
 from repro.graphs import chain_of_cliques, erdos_renyi_gnp, grid_2d, hypercube
 

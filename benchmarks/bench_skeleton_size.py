@@ -9,7 +9,7 @@ checks: measured <= bound at every point; size grows linearly in n
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.analysis.theory import skeleton_size_bound
+from repro.core.theory import skeleton_size_bound
 from repro.core import build_skeleton
 from repro.graphs import erdos_renyi_gnp
 

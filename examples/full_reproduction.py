@@ -8,7 +8,7 @@ benchmarks/; the record of paper-vs-measured is EXPERIMENTS.md.
 Run:  python examples/full_reproduction.py
 """
 
-from repro.analysis.theory import (
+from repro.core.theory import (
     skeleton_distortion_bound,
     skeleton_size_bound,
 )

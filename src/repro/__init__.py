@@ -9,7 +9,7 @@ Public API highlights:
 * :mod:`repro.baselines` — Baswana–Sen, greedy, girth skeleton, additive-2
 * :mod:`repro.distributed` — the synchronous network simulator and the
   message-passing implementations of the paper's protocols
-* :mod:`repro.analysis` — every closed-form bound from the paper
+* :mod:`repro.core.theory` — every closed-form bound from the paper
 """
 
 from repro.graphs.graph import Graph

@@ -1,22 +1,8 @@
-"""Closed-form theory bounds, the X^t_p recurrence, and table formatting."""
+"""The X^t_p recurrence, paper-style tables and the phase-budget report.
 
-from repro.analysis.theory import (
-    GAMMA,
-    PHI,
-    fib,
-    fib_sampling_probabilities,
-    fibonacci_size_bound,
-    fibonacci_spanner_order_max,
-    golden_ratio_exponent,
-    lemma9_recurrences,
-    lemma10_c_bound,
-    lemma10_i_bound,
-    log_star,
-    s_sequence,
-    skeleton_distortion_bound,
-    skeleton_size_bound,
-    theorem7_distortion_bound,
-)
+The closed-form bounds live in :mod:`repro.core.theory`.
+"""
+
 from repro.analysis.xtp import (
     monte_carlo_vertex_contribution,
     x_tp,
@@ -30,21 +16,6 @@ from repro.analysis.report import (
 )
 
 __all__ = [
-    "GAMMA",
-    "PHI",
-    "fib",
-    "fib_sampling_probabilities",
-    "fibonacci_size_bound",
-    "fibonacci_spanner_order_max",
-    "golden_ratio_exponent",
-    "lemma9_recurrences",
-    "lemma10_c_bound",
-    "lemma10_i_bound",
-    "log_star",
-    "s_sequence",
-    "skeleton_distortion_bound",
-    "skeleton_size_bound",
-    "theorem7_distortion_bound",
     "monte_carlo_vertex_contribution",
     "x_tp",
     "x_tp_closed_form",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from repro.analysis.theory import GAMMA
+from repro.core.theory import GAMMA
 from repro.util.rng import SeedLike, ensure_rng
 
 

@@ -1,4 +1,4 @@
-"""Streaming and fully-dynamic (2k-1)-spanners (related work, Sect. 1.4).
+"""Streaming (2k-1)-spanners (related work, Sect. 1.4).
 
 The paper surveys Elkin [21] and Baswana [5] for streaming spanners
 ("edges arrive one at a time and the algorithm can only keep O(n^{1+1/k})
@@ -11,10 +11,8 @@ lines refine:
   between its endpoints.  The output has girth > 2k, hence
   O(n^{1+1/k}) edges, and is a (2k - 1)-spanner of the streamed graph.
 
-* :class:`DynamicSpanner` — insertions use the same rule; deleting a
-  non-spanner edge is free, and deleting a spanner edge triggers a local
-  repair: the affected endpoints re-examine their remaining incident
-  host edges and re-insert those the stretch invariant now demands.
+Fully dynamic maintenance under the same girth rule is
+:class:`repro.churn.maintainer.IncrementalSpanner`.
 """
 
 from __future__ import annotations
@@ -96,85 +94,3 @@ class StreamingSpanner:
             },
         )
 
-
-class DynamicSpanner:
-    """Fully-dynamic (2k-1)-spanner with lazy local repair on deletion.
-
-    Maintains the invariant: for every host edge (u, v), the spanner has
-    delta_S(u, v) <= 2k - 1.  Insertions use the streaming rule.  When a
-    *spanner* edge is deleted, the invariant may break for host edges
-    that routed through it; the repair re-offers every host edge incident
-    to the deleted edge's endpoints and, if any still violates the
-    invariant, falls back to re-offering all host edges (rare; counted).
-
-    This is the semantic baseline against which [8, 20, 21]'s
-    polylog-update-time structures are optimizations.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.host = Graph()
-        self._stream = StreamingSpanner(k)
-        self.full_rebuilds = 0
-
-    @property
-    def spanner_edges(self) -> Set[Edge]:
-        return set(self._stream.kept)
-
-    @property
-    def size(self) -> int:
-        return self._stream.size
-
-    def insert(self, u: int, v: int) -> bool:
-        """Insert a host edge; returns whether the spanner kept it."""
-        if not self.host.add_edge(u, v):
-            return False
-        return self._stream.offer(u, v)
-
-    def delete(self, u: int, v: int) -> None:
-        """Delete a host edge, repairing the spanner if needed."""
-        if not self.host.remove_edge(u, v):
-            return
-        edge = canonical_edge(u, v)
-        if edge not in self._stream.kept:
-            return
-        self._stream.kept.discard(edge)
-        self._stream._adj[u].discard(v)
-        self._stream._adj[v].discard(u)
-        # Local repair first: host edges at the endpoints are the usual
-        # casualties.  A distant host edge may also have routed through
-        # the deleted edge, so verify the global invariant and rebuild
-        # when local repair was not enough (counted; rare in practice).
-        for x in (u, v):
-            for y in sorted(self.host.neighbors(x)):
-                if canonical_edge(x, y) not in self._stream.kept:
-                    self._stream.offer(x, y)
-        if not self.check_invariant():
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        self.full_rebuilds += 1
-        self._stream = StreamingSpanner(self.k).consume(
-            sorted(self.host.edges())
-        )
-
-    def check_invariant(self) -> bool:
-        """Every host edge is spanned within 2k - 1 (test hook)."""
-        return all(
-            canonical_edge(u, v) in self._stream.kept
-            or self._stream._bounded_distance(u, v) is not None
-            for u, v in self.host.edges()
-        )
-
-    def to_spanner(self) -> Spanner:
-        return Spanner(
-            self.host,
-            self._stream.kept,
-            {
-                "algorithm": "dynamic-spanner",
-                "k": self.k,
-                "full_rebuilds": self.full_rebuilds,
-            },
-        )

@@ -2,8 +2,8 @@
 
 The paper's related-work section (Sect. 1.4) surveys fully-dynamic
 spanner maintenance; :mod:`repro.baselines.streaming` carries the
-classical girth-rule baseline.  This package promotes that sketch into a
-first-class churn subsystem:
+classical one-pass girth-rule baseline.  This package maintains that
+rule's spanner under churn:
 
 * :mod:`repro.churn.events` — a deterministic, seeded update stream of
   edge insertions/deletions and node crash/recover events, applied in

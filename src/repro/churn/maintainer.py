@@ -1,8 +1,8 @@
 """Incrementally maintained (2k-1)-spanner with region-limited repair.
 
-:class:`IncrementalSpanner` promotes the girth-rule sketch of
-:class:`repro.baselines.streaming.DynamicSpanner` into the churn
-engine's workhorse.  The maintained invariant is the streaming rule's,
+:class:`IncrementalSpanner` is the fully dynamic form of the girth
+rule behind :class:`repro.baselines.streaming.StreamingSpanner`, and the
+churn engine's workhorse.  The maintained invariant is the streaming rule's,
 restricted to the **live** graph (host edges whose endpoints are both
 up): for every live host edge ``(u, v)`` the spanner contains a path of
 length at most ``2k - 1`` between ``u`` and ``v``.  That invariant

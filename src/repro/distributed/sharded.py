@@ -9,15 +9,14 @@ persistent worker process, and at each round barrier ships only the
 cross-shard ``(src, dst, payload)`` triples between workers — intra-shard
 messages never leave their worker.
 
-The engine is an *equivalence-preserving* optimization, the same
-discipline the clean/general loop split followed (PR 4): for every
+The engine is an *equivalence-preserving* optimization: for every
 protocol, every shard count must produce byte-identical outputs,
 identical :class:`~repro.distributed.simulator.NetworkStats` and — with
 a tracer attached — byte-identical ``repro trace`` JSONL versus the
 single-process engine (pinned by ``tests/test_sharded_equivalence.py``).
 Three structural facts make that possible:
 
-* **Contiguous ranges preserve inbox order.**  The clean path's inbox
+* **Contiguous ranges preserve inbox order.**  A clean round's inbox
   buckets are src-sorted because senders are iterated in ascending
   vertex order.  With shards covering contiguous ascending vertex
   ranges, concatenating per-shard boundary output in shard order is
@@ -26,9 +25,9 @@ Three structural facts make that possible:
 * **Accounting is per-sender.**  Every (edge, round, direction) slot is
   charged where it is collected — by the sending shard — so summing the
   per-shard counters (and maxing the widths) reproduces the global
-  numbers exactly.  The worker engine literally *inherits*
-  ``Network._collect_outboxes``, so the charged words are computed by
-  the same code.
+  numbers exactly.  Each worker runs ``Network``'s own round body
+  (``_run_setup`` / ``_run_round``, hence ``_collect_outboxes``), so
+  the charged words are computed by the same code.
 * **Events merge in shard order.**  Within a round, the single-process
   event order is ``round``, halts (ascending node), sends (ascending
   src).  Workers log their halt/send events locally (payloads are
@@ -71,15 +70,14 @@ from typing import (
 )
 
 from repro.distributed.simulator import (
-    Api,
     Network,
     NetworkStats,
     NodeProgram,
     ProtocolError,
+    _check_programs,
 )
 from repro.graphs.graph import Graph
 from repro.obs.trace import payload_fingerprint
-from repro.util.words import WordCounter
 
 __all__ = [
     "ShardedNetwork",
@@ -170,16 +168,14 @@ class _EventLog:
 class _ShardEngine(Network):
     """One shard's slice of the network, living inside a worker process.
 
-    A :class:`Network` whose ``programs``/``_pairs`` cover only a
-    contiguous vertex range of the (full, shared) graph.  It deliberately
-    skips ``Network.__init__`` — the base constructor demands programs
-    for *every* vertex — but builds the identical hot-path state, so the
-    inherited ``_collect_outboxes`` / ``_active_pairs`` /
-    ``sorted_neighbors`` run unchanged: the sharded engine charges words
-    with the same code the single-process engine does.  The coordinator
-    drives it via :func:`_do_setup` / :func:`_do_round` instead of
-    ``run`` (the round loop lives coordinator-side, where the barrier
-    is).
+    A :class:`Network` whose programs cover only a contiguous vertex
+    range of the (full, shared) graph.  It skips ``Network.__init__`` —
+    whose coverage check demands a program for *every* vertex — but
+    builds its state with the same ``_init_state``, and the worker
+    drives it through the same ``_run_setup`` / ``_run_round`` that
+    ``Network.run`` calls: the sharded engine delivers, steps and
+    charges words with the single-process engine's code.  Only the
+    round loop lives coordinator-side, where the barrier is.
     """
 
     def __init__(
@@ -189,29 +185,32 @@ class _ShardEngine(Network):
         cap: Optional[int],
         obs: Optional[_EventLog],
     ) -> None:
-        self.graph = graph
-        self.programs = programs
-        self.strict = False
-        self.fault_plan = None
-        self.stats = NetworkStats(cap=cap)
-        self.obs = obs
-        self.reliable_layer = False
-        self.fault_log_limit = 256
-        self._order = sorted(programs)
-        self._sorted_nbrs = {
-            v: sorted(graph.neighbors(v)) for v in self._order
-        }
-        self._apis = {v: Api(self, v) for v in self._order}
-        self._pairs = [
-            (v, self._apis[v], programs[v]) for v in self._order
-        ]
-        self._halted_count = 0
-        self._active_dirty = True
-        self._active = []
-        self._words = WordCounter()
-        self._pending = {}
-        self._delayed = {}
-        self._setup_done = False
+        self._init_state(graph, programs, cap, obs=obs)
+
+
+def _deliver_boundary(
+    engine: _ShardEngine, lo: int, inbound: List[_Triple]
+) -> None:
+    """Merge this round's boundary arrivals into the local inboxes.
+
+    ``inbound`` arrives in globally ascending source order (shards are
+    contiguous ranges, concatenated in shard order by the coordinator),
+    so each inbox becomes ``remote(src < lo) + local + remote(src > hi)``
+    — exactly the src-sorted bucket the single-process engine holds —
+    without sorting.
+    """
+    pending = engine._pending
+    pre: Dict[int, List[Tuple[int, Any]]] = {}
+    for src, dst, payload in inbound:
+        side = pre if src < lo else pending
+        bucket = side.get(dst)
+        if bucket is None:
+            side[dst] = [(src, payload)]
+        else:
+            bucket.append((src, payload))
+    for dst, bucket in pre.items():
+        local = pending.get(dst)
+        pending[dst] = bucket if local is None else bucket + local
 
 
 def _split_and_report(
@@ -253,60 +252,9 @@ def _split_and_report(
     return remote, report, events
 
 
-def _do_setup(engine: _ShardEngine, lo: int, hi: int) -> _RoundResult:
-    """Run every local program's ``setup`` and collect round-0 sends."""
-    for _, api, program in engine._pairs:
-        program.setup(api)
-    engine._collect_outboxes()
-    engine._setup_done = True
-    return _split_and_report(engine, lo, hi)
-
-
-def _do_round(
-    engine: _ShardEngine,
-    lo: int,
-    hi: int,
-    round_no: int,
-    inbound: List[_Triple],
-) -> _RoundResult:
-    """Execute one global round over the shard's active nodes.
-
-    ``inbound`` arrives in globally ascending source order (shards are
-    contiguous ranges, concatenated in shard order by the coordinator);
-    splitting it at the local range rebuilds every inbox as
-    ``pre + local + post`` — exactly the src-sorted bucket the
-    single-process clean path hands to ``on_round``.
-    """
-    engine.stats.rounds = round_no  # halt events + collect charge here
-    pre: Dict[int, List[Tuple[int, Any]]] = {}
-    post: Dict[int, List[Tuple[int, Any]]] = {}
-    for src, dst, payload in inbound:
-        side = pre if src < lo else post
-        bucket = side.get(dst)
-        if bucket is None:
-            side[dst] = [(src, payload)]
-        else:
-            bucket.append((src, payload))
-    pending, engine._pending = engine._pending, {}
-    get_pre = pre.get
-    get_local = pending.get
-    get_post = post.get
-    for api, program in engine._active_pairs():
-        v = api.node_id
-        a = get_pre(v)
-        b = get_local(v)
-        c = get_post(v)
-        if a is None and c is None:
-            inbox = b if b is not None else []
-        else:
-            inbox = (a or []) + (b or []) + (c or [])
-        program.on_round(api, round_no, inbox)
-    engine._collect_outboxes()
-    return _split_and_report(engine, lo, hi)
-
-
 def _worker_main(conn: Any) -> None:
-    """The long-lived worker loop: one command in, one reply out.
+    """The long-lived worker loop: one command in, one reply out
+    (``exit`` gets none).
 
     Replies are ``("ok", value)`` or ``("err", exc_type, message,
     traceback_text)``; the coordinator re-raises.  ``load`` replaces the
@@ -330,6 +278,11 @@ def _worker_main(conn: Any) -> None:
                 if new_graph is not None:
                     graph = new_graph
                 assert graph is not None, "load before any graph shipped"
+                if engine is not None:
+                    # Api <-> Network references make the resident engine
+                    # a cycle that only a full collection frees; drop its
+                    # state now so two networks never overlap in memory.
+                    engine.__dict__.clear()
                 log = _EventLog() if record else None
                 engine = _ShardEngine(graph, programs, cap, log)
                 if engine._order:
@@ -338,30 +291,33 @@ def _worker_main(conn: Any) -> None:
                     lo = hi = -1
             elif cmd == "setup":
                 assert engine is not None
-                out = _do_setup(engine, lo, hi)
+                engine._run_setup()
+                out = _split_and_report(engine, lo, hi)
             elif cmd == "round":
                 assert engine is not None
                 _, round_no, inbound = msg
-                out = _do_round(engine, lo, hi, round_no, inbound)
+                # Halt events and collected sends are stamped with it.
+                engine.stats.rounds = round_no
+                _deliver_boundary(engine, lo, inbound)
+                engine._run_round(round_no)
+                out = _split_and_report(engine, lo, hi)
             elif cmd == "apply":
                 assert engine is not None
                 _, fn, args, kwargs = msg
                 out = fn(engine.programs, *args, **kwargs)
             elif cmd == "exit":
-                conn.send(("ok", None))
                 return
             else:  # pragma: no cover - coordinator never sends others
                 raise RuntimeError(f"unknown worker command {cmd!r}")
             conn.send(("ok", out))
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            conn.send(
-                (
-                    "err",
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                )
+            report = (
+                "err", type(exc).__name__, str(exc), traceback.format_exc()
             )
+            try:
+                conn.send(report)
+            except OSError:  # the coordinator is gone: nobody to tell
+                return
 
 
 # ----------------------------------------------------------------------
@@ -433,9 +389,12 @@ class _WorkerPool:
             graph is self._last_graph and shape == self._last_shape
         )
         payload_graph = None if resident else graph
-        for conn, programs in zip(self._conns, slices):
-            conn.send(("load", payload_graph, programs, cap, record))
-        self._gather()
+        self._exchange(
+            [
+                ("load", payload_graph, programs, cap, record)
+                for programs in slices
+            ]
+        )
         self._last_graph = graph
         self._last_shape = shape
         return self.generation
@@ -449,40 +408,51 @@ class _WorkerPool:
                 "stale ShardedNetwork: a newer network has reloaded the "
                 f"{self.shards}-shard worker pool"
             )
-        for conn, message in zip(self._conns, messages):
-            conn.send(message)
-        return self._gather()
+        return self._exchange(messages)
 
     def command_all(
         self, generation: int, message: Tuple[Any, ...]
     ) -> List[Any]:
         return self.command_each(generation, [message] * self.shards)
 
-    def _gather(self) -> List[Any]:
-        outs: List[Any] = []
-        failure: Optional[Tuple[str, str, str]] = None
-        for conn in self._conns:
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError):
-                failure = ("WorkerDied", "shard worker exited", "")
-                continue
-            if reply[0] == "err":
-                failure = (reply[1], reply[2], reply[3])
-            else:
-                outs.append(reply[1])
-        if failure is not None:
-            # The barrier is now inconsistent; retire the whole pool.
-            self.shutdown()
-            self._pools.pop(self.shards, None)
-            exc_type, message, trace_text = failure
-            if exc_type == "ProtocolError":
-                raise ProtocolError(message)
+    def _exchange(self, messages: List[Tuple[Any, ...]]) -> List[Any]:
+        """Send one message per worker, then gather one reply from each.
+
+        Any failure leaves the barrier inconsistent, so it retires the
+        whole pool and raises naming the shard: the worker's own error,
+        or — when a dead worker's pipe breaks on the send or the reply —
+        the worker's exit code.
+        """
+        shard = 0
+        replies: List[Any] = []
+        try:
+            for shard, (conn, message) in enumerate(
+                zip(self._conns, messages)
+            ):
+                conn.send(message)
+            for shard, conn in enumerate(self._conns):
+                replies.append(conn.recv())
+        except (EOFError, OSError):
+            self._retire()
             raise RuntimeError(
-                f"shard worker failed with {exc_type}: {message}\n"
-                f"{trace_text}"
-            )
-        return outs
+                f"shard {shard} worker died "
+                f"(exitcode {self._procs[shard].exitcode})"
+            ) from None
+        for shard, reply in enumerate(replies):
+            if reply[0] == "err":
+                self._retire()
+                _, exc_type, message, trace_text = reply
+                if exc_type == "ProtocolError":
+                    raise ProtocolError(message)
+                raise RuntimeError(
+                    f"shard {shard} worker failed with {exc_type}: "
+                    f"{message}\n{trace_text}"
+                )
+        return [reply[1] for reply in replies]
+
+    def _retire(self) -> None:
+        self.shutdown()
+        self._pools.pop(self.shards, None)
 
     def shutdown(self) -> None:
         for conn in self._conns:
@@ -522,11 +492,12 @@ class ShardedNetwork:
     the moment ``run`` executes, so all program access goes through
     :meth:`apply_programs`.
 
-    The run loop replicates ``Network._run_clean`` barrier-for-barrier:
-    all-halted check at the top, round counter bump, deliver + execute +
-    collect, idle check after the collect — with delivery and collection
-    fanned out to the workers and only boundary triples, cumulative
-    counters and (under a tracer) event logs crossing the pipes.
+    The run loop replicates ``Network.run`` barrier-for-barrier:
+    all-halted check at the top, round counter bump, the round body
+    (deliver + execute + collect), idle check after the collect — with
+    the round body run by the workers and only boundary triples,
+    cumulative counters and (under a tracer) event logs crossing the
+    pipes.
     """
 
     def __init__(
@@ -539,15 +510,8 @@ class ShardedNetwork:
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        _check_programs(graph, programs)
         order = sorted(graph.vertices())
-        missing = sorted(set(order) - set(programs))
-        if missing:
-            raise ValueError(f"no program for vertices {missing[:5]}...")
-        unknown = sorted(set(programs) - set(order))
-        if unknown:
-            raise ValueError(
-                f"programs for vertices not in the graph: {unknown[:5]}"
-            )
         self.graph = graph
         self.stats = NetworkStats(cap=max_message_words)
         self.obs = obs

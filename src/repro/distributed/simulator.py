@@ -16,19 +16,24 @@ width statistics.  A cap can be enforced (``strict=True`` raises
 :class:`ProtocolError`) or merely audited (violations counted) — the
 latter is how benches *observe* a protocol's message-length requirement.
 
-Hot path (see ``docs/performance.md``): the vertex order and per-node
-sorted neighbor lists are computed once at construction; halted nodes
-are skipped via an incrementally maintained active list rather than
-scanned; payload word counts are memoized
+Hot path (see ``docs/performance.md``): :meth:`Network.run` is the one
+round loop for every configuration.  Fault delivery and ``obs.on_round``
+are gated once per round, and the crash skip and inbox re-sort once per
+node step, each behind one ``is not None`` check.  The vertex order and
+per-node sorted neighbor lists are computed once at construction;
+halted nodes are skipped via an incrementally maintained active list
+rather than scanned; payload word counts are memoized
 (:class:`repro.util.words.WordCounter`); and because senders are
 collected in ascending vertex order, each inbox bucket is *already*
-src-sorted on the clean path, so the per-node ``sorted()`` call is paid
-only when a fault plan can perturb delivery order.  ``run()`` dispatches
-to a specialized inner loop when ``fault_plan is None and obs is None``
-— the configuration every benchmark measures — so clean runs pay zero
-per-message branching for faults or observability.  The optimized and
-generic loops are pinned identical by ``tests/test_engine_equivalence
-.py`` and the byte-identical trace oracle of ``repro trace diff``.
+src-sorted, so the per-node ``sorted()`` call is paid only when a fault
+plan can perturb delivery order.  One specialised branch remains, in
+``_collect_outboxes``: an outbox whose sends all go to distinct
+neighbors is charged slot by slot, with no per-destination dict —
+charging every outbox through the per-destination pass instead cost
+17-23% of clean-run message throughput.  The shard workers of
+:mod:`repro.distributed.sharded` run the same round body
+(``_run_setup`` / ``_run_round``).  Trace bytes and counts are pinned
+across engine versions by ``tests/test_trace_golden.py``.
 """
 
 from __future__ import annotations
@@ -246,6 +251,20 @@ class NodeProgram:
         # pragma: no cover - default no-op
 
 
+def _check_programs(graph: Graph, programs: Dict[int, Any]) -> None:
+    """Raise ``ValueError`` unless ``programs`` covers exactly ``graph``'s
+    vertices (shared by every engine's constructor)."""
+    vertex_set = set(graph.vertices())
+    missing = sorted(vertex_set - set(programs))
+    if missing:
+        raise ValueError(f"no program for vertices {missing[:5]}...")
+    unknown = sorted(set(programs) - vertex_set)
+    if unknown:
+        raise ValueError(
+            f"programs for vertices not in the graph: {unknown[:5]}"
+        )
+
+
 class Network:
     """A synchronous network: one :class:`NodeProgram` per graph vertex."""
 
@@ -264,19 +283,38 @@ class Network:
             raise ValueError(
                 "provide exactly one of programs / program_factory"
             )
-        self.graph = graph
         if programs is None:
             assert program_factory is not None  # by the check above
             programs = {v: program_factory(v) for v in graph.vertices()}
-        vertex_set = set(graph.vertices())
-        missing = sorted(vertex_set - set(programs))
-        if missing:
-            raise ValueError(f"no program for vertices {missing[:5]}...")
-        unknown = sorted(set(programs) - vertex_set)
-        if unknown:
-            raise ValueError(
-                f"programs for vertices not in the graph: {unknown[:5]}"
-            )
+        _check_programs(graph, programs)
+        self._init_state(
+            graph,
+            programs,
+            max_message_words,
+            strict,
+            fault_plan,
+            obs,
+            reliable_layer,
+        )
+        if obs is not None:
+            obs.on_network(self)
+
+    def _init_state(
+        self,
+        graph: Graph,
+        programs: Dict[int, NodeProgram],
+        max_message_words: Optional[int],
+        strict: bool = False,
+        fault_plan: Optional[FaultPlan] = None,
+        obs: Optional[Any] = None,
+        reliable_layer: bool = False,
+    ) -> None:
+        """Build the engine state over ``programs``' vertices.
+
+        ``programs`` may cover a subset of ``graph``: a shard worker
+        runs one contiguous vertex range over the full graph.
+        """
+        self.graph = graph
         self.programs = programs
         self.strict = strict
         self.fault_plan = fault_plan
@@ -294,7 +332,7 @@ class Network:
         )
         #: hot-path state, computed once: ascending vertex order and the
         #: per-node sorted neighbor lists (never re-sorted per round).
-        self._order: List[int] = sorted(graph.vertices())
+        self._order: List[int] = sorted(programs)
         self._sorted_nbrs: Dict[int, List[int]] = {
             v: sorted(graph.neighbors(v)) for v in self._order
         }
@@ -318,8 +356,6 @@ class Network:
         #: fault-delayed messages: delivery round -> [(dst, src, payload)].
         self._delayed: Dict[int, List[Tuple[int, int, Any]]] = {}
         self._setup_done = False
-        if obs is not None:
-            obs.on_network(self)
 
     def _record_fault(self, event: FaultEvent) -> None:
         """Fault accounting chokepoint: bounded in-memory log + trace."""
@@ -378,48 +414,29 @@ class Network:
         bucket comes out already sorted by source — the invariant that
         lets the clean delivery path skip per-node inbox sorting.
 
-        Under ``strict`` a first pass validates every slot against the
-        cap *before* anything is counted or queued, so a
-        :class:`ProtocolError` leaves stats, outboxes and in-flight
-        messages exactly as they were.  The non-strict path (every
-        benchmark and protocol run) is a single pass with locally
-        accumulated counters.
+        Under ``strict`` a check-only pre-pass validates every slot
+        against the cap and raises *before* anything is counted, queued,
+        cleared or observed, so a :class:`ProtocolError` leaves stats,
+        outboxes and in-flight messages exactly as they were.  The
+        counting pass accumulates its counters in locals.
         """
         stats = self.stats
         obs = self.obs
         words_of = self._words
         cap = stats.cap
         send_round = stats.rounds
-        next_pending: Dict[int, List[Tuple[int, Any]]] = {}
         if self.strict and cap is not None:
-            staged: List[Tuple[int, int, List[Any], int]] = []
             for v, api, _ in self._pairs:
-                if not api._outbox:
-                    continue
-                per_dst: Dict[int, List[Any]] = {}
+                widths: Dict[int, int] = {}
                 for dst, payload in api._outbox:
-                    per_dst.setdefault(dst, []).append(payload)
-                for dst, payloads in per_dst.items():
-                    words = 0
-                    for payload in payloads:
-                        words += words_of(payload)
+                    widths[dst] = widths.get(dst, 0) + words_of(payload)
+                for dst, words in widths.items():
                     if words > cap:
                         raise ProtocolError(
                             f"node {v} sent {words} words to {dst}, "
                             f"cap is {cap}"
                         )
-                    staged.append((v, dst, payloads, words))
-            for v, dst, payloads, words in staged:
-                stats.observe(words)
-                if obs is not None:
-                    obs.on_send(send_round, v, dst, words, payloads)
-                bucket = next_pending.setdefault(dst, [])
-                for payload in payloads:
-                    bucket.append((v, payload))
-            for _, api, _ in self._pairs:
-                api._outbox = []
-            self._pending = next_pending
-            return
+        next_pending: Dict[int, List[Tuple[int, Any]]] = {}
         messages = 0
         total_words = 0
         max_words = stats.max_message_words
@@ -452,7 +469,7 @@ class Network:
                         bucket = next_pending[dst] = []
                     bucket.append((v, payload))
                 continue
-            per_dst = {}
+            per_dst: Dict[int, List[Any]] = {}
             for dst, payload in outbox:
                 bucket_p = per_dst.get(dst)
                 if bucket_p is None:
@@ -483,12 +500,12 @@ class Network:
         self._pending = next_pending
 
     def _apply_faults(
-        self, round_no: int, pending: Dict[int, List[Tuple[int, Any]]]
+        self,
+        plan: FaultPlan,
+        round_no: int,
+        pending: Dict[int, List[Tuple[int, Any]]],
     ) -> Dict[int, List[Tuple[int, Any]]]:
         """Consult the fault plan for every delivery due this round."""
-        plan = self.fault_plan
-        if plan is None:  # callers gate on fault_plan; keep mypy honest
-            return pending
         stats = self.stats
         for event in plan.transitions(round_no):
             self._record_fault(event)
@@ -539,6 +556,58 @@ class Network:
             delivered.setdefault(dst, []).append((src, payload))
         return delivered
 
+    def _run_setup(self) -> None:
+        """Round 0: each node's ``setup`` (unless crashed at round 0),
+        then collect what it sent."""
+        plan = self.fault_plan
+        for v, api, program in self._pairs:
+            if plan is None or not plan.is_crashed(v, 0):
+                program.setup(api)
+        self._collect_outboxes()
+        self._setup_done = True
+
+    def _run_round(self, round_no: int) -> None:
+        """One round body: deliver, run every active node, collect.
+
+        The caller has already set ``stats.rounds`` to ``round_no``.
+        Inbox buckets leave ``_collect_outboxes`` src-sorted, so they
+        are handed over as they are; only a fault plan can perturb that
+        order (delayed arrivals are appended after their bucket), so the
+        stable re-sort and the reorder draw are paid only under a plan.
+        """
+        plan = self.fault_plan
+        pending, self._pending = self._pending, {}
+        if plan is not None:
+            pending = self._apply_faults(plan, round_no, pending)
+            # Amnesia recoveries fire before the round's on_round: the
+            # node wipes volatile state (and may solicit a repair
+            # handshake) before seeing any new messages.
+            for v in plan.amnesia_recoveries(round_no):
+                api_v = self._apis[v]
+                if not api_v._halted:
+                    self.programs[v].on_amnesia_recover(api_v, round_no)
+        get_inbox = pending.get
+        for api, program in self._active_pairs():
+            inbox = get_inbox(api.node_id)
+            if plan is not None:
+                v = api.node_id
+                if plan.is_crashed(v, round_no):
+                    continue
+                if inbox is not None:
+                    inbox = sorted(inbox, key=lambda sp: sp[0])
+                    perm = plan.reorder_permutation(round_no, v, len(inbox))
+                    if perm is not None:
+                        inbox = [inbox[i] for i in perm]
+                        self.stats.reordered += 1
+                        self._record_fault(
+                            FaultEvent(REORDER, round_no, dst=v,
+                                       info=len(inbox))
+                        )
+            program.on_round(
+                api, round_no, inbox if inbox is not None else []
+            )
+        self._collect_outboxes()
+
     def run(
         self, max_rounds: int, stop_when_idle: bool = False
     ) -> NetworkStats:
@@ -550,112 +619,19 @@ class Network:
         short-circuits once no messages are in flight — a simulation
         speed-up for phases whose synchronous budget far exceeds the
         actual traffic (the budget is reported separately by callers).
-
-        Dispatches to a specialized inner loop when neither fault
-        injection nor observability is attached — the clean benchmark
-        configuration pays no per-round fault/obs branching.  Both loops
-        are pinned to identical :class:`NetworkStats` and protocol
-        outputs by ``tests/test_engine_equivalence.py``.
-        """
-        if self.fault_plan is None and self.obs is None:
-            return self._run_clean(max_rounds, stop_when_idle)
-        return self._run_general(max_rounds, stop_when_idle)
-
-    def _run_clean(
-        self, max_rounds: int, stop_when_idle: bool
-    ) -> NetworkStats:
-        """The fault-free, unobserved inner loop (the hot path).
-
-        Inboxes are handed to programs exactly as collected: buckets are
-        built by iterating senders in ascending vertex order, so each is
-        already src-sorted and no per-node ``sorted()`` is needed.
         """
         if not self._setup_done:
-            for _, api, program in self._pairs:
-                program.setup(api)
-            self._collect_outboxes()
-            self._setup_done = True
+            self._run_setup()
         stats = self.stats
-        total = len(self._apis)
-        for _ in range(max_rounds):
-            if self._halted_count == total:
-                break
-            stats.rounds += 1
-            round_no = stats.rounds
-            pending, self._pending = self._pending, {}
-            get_inbox = pending.get
-            for api, program in self._active_pairs():
-                inbox = get_inbox(api.node_id)
-                program.on_round(
-                    api, round_no, inbox if inbox is not None else []
-                )
-            self._collect_outboxes()
-            if stop_when_idle and not self._pending and not self._delayed:
-                break
-        return stats
-
-    def _run_general(
-        self, max_rounds: int, stop_when_idle: bool
-    ) -> NetworkStats:
-        """The full inner loop: fault injection and/or observability.
-
-        Inbox buckets leave ``_collect_outboxes`` src-sorted; only a
-        fault plan can perturb that (delayed arrivals are appended after
-        their bucket), so the re-sort is paid exactly when a plan is
-        attached — and the stable sort makes the merged order identical
-        to the pre-optimization engine's unconditional sort.
-        """
-        plan = self.fault_plan
         obs = self.obs
-        if not self._setup_done:
-            for v, api, program in self._pairs:
-                if plan is not None and plan.is_crashed(v, 0):
-                    continue
-                program.setup(api)
-            self._collect_outboxes()
-            self._setup_done = True
-        stats = self.stats
         total = len(self._apis)
         for _ in range(max_rounds):
             if self._halted_count == total:
                 break
             stats.rounds += 1
-            round_no = stats.rounds
             if obs is not None:
-                obs.on_round(round_no)
-            pending, self._pending = self._pending, {}
-            if plan is not None:
-                pending = self._apply_faults(round_no, pending)
-                # Amnesia recoveries fire before the round's on_round:
-                # the node wipes volatile state (and may solicit a
-                # repair handshake) before seeing any new messages.
-                for v in plan.amnesia_recoveries(round_no):
-                    api_v = self._apis[v]
-                    if not api_v._halted:
-                        self.programs[v].on_amnesia_recover(api_v, round_no)
-            for api, program in self._active_pairs():
-                v = api.node_id
-                if plan is not None and plan.is_crashed(v, round_no):
-                    continue
-                raw = pending.get(v)
-                if raw is None:
-                    inbox: List[Tuple[int, Any]] = []
-                else:
-                    inbox = raw
-                    if plan is not None:
-                        inbox = sorted(inbox, key=lambda sp: sp[0])
-                        perm = plan.reorder_permutation(
-                            round_no, v, len(inbox)
-                        )
-                        if perm is not None:
-                            inbox = [inbox[i] for i in perm]
-                            stats.reordered += 1
-                            self._record_fault(
-                                FaultEvent(REORDER, round_no, dst=v,
-                                           info=len(inbox))
-                            )
-                program.on_round(api, round_no, inbox)
-            self._collect_outboxes()
+                obs.on_round(stats.rounds)
+            self._run_round(stats.rounds)
             if stop_when_idle and not self.in_flight:
                 break
-        return self.stats
+        return stats

@@ -10,7 +10,7 @@ pointwise, applied to arbitrary sampled cases:
     knowledge alike must never invent edges).
 ``size``
     Edge count within the analytic budget of the matching
-    lemma/theorem (:func:`repro.analysis.theory.protocol_size_budget`),
+    lemma/theorem (:func:`repro.core.theory.protocol_size_budget`),
     scaled by ``size_slack``.
 ``stretch``
     The theorem's stretch guarantee via
@@ -50,7 +50,7 @@ import math
 import traceback
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.theory import (
+from repro.core.theory import (
     protocol_size_budget,
     protocol_stretch_budget,
     theorem7_distortion_bound,
@@ -319,7 +319,7 @@ def oracle_rand_vs_det(ex: CaseExecution) -> Optional[str]:
     on the identical host graph with the same sparsity parameter ``D``
     and the case's protocol seed, then holds *both* constructions to
     their own analytic size budgets
-    (:func:`~repro.analysis.theory.protocol_size_budget`) and to host
+    (:func:`~repro.core.theory.protocol_size_budget`) and to host
     connectivity.  The randomized side keeps the Lemma 6 expected-size
     caveat (zero sampled centers exempts the per-instance budget).
     """

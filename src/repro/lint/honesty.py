@@ -15,8 +15,8 @@ statically bans, *inside NodeProgram subclasses of protocol modules*
 * any reference to simulator internals (``_pending``, ``_apis``,
   ``_outbox``, ``_delayed``, ``_sorted_nbrs``, ``_setup_done``,
   ``_halted``, ``_network``, ``_nbrs``, ``_nbr_set``, ``_pairs``,
-  ``_active``) anywhere in an attribute chain, even one rooted at
-  ``self``;
+  ``_active``, ``_init_state``, ``_run_setup``, ``_run_round``)
+  anywhere in an attribute chain, even one rooted at ``self``;
 * holding the global objects at all: bare reads of names ``network`` /
   ``simulator`` inside node-program code.
 
@@ -54,6 +54,10 @@ _SIMULATOR_INTERNALS = frozenset(
         "_nbr_set",
         "_pairs",
         "_active",
+        # the round kernel every engine drives.
+        "_init_state",
+        "_run_setup",
+        "_run_round",
     }
 )
 

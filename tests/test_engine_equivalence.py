@@ -1,13 +1,12 @@
-"""The hot-path equivalence oracle: fast loop == instrumented loop.
+"""The observation-neutrality oracle: observed run == bare run.
 
-``Network.run`` dispatches to a specialized inner loop when there is no
-fault plan and no observer (``simulator._run_clean``) and to the fully
-instrumented loop otherwise (``_run_general``).  The optimization
-contract is that the two are *indistinguishable*: identical protocol
+``Network.run`` is one round loop whose observability hooks each sit
+behind an ``obs is not None`` check.  The contract is that observing a
+run is *indistinguishable* from not observing it: identical protocol
 outputs and identical :class:`NetworkStats` on every workload.  These
-tests pin that contract across all five protocols — attaching a tracer
-(which forces the general loop) must change nothing but the trace, and
-fault-plan runs must replay byte-identically.
+tests pin that contract across every protocol — attaching a tracer must
+change nothing but the trace, with or without a fault plan — and that
+fault-plan runs replay byte-identically.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def _normalize(protocol: str, result: Any) -> Any:
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestFastPathEquivalence:
     def test_clean_run_matches_instrumented_run(self, protocol):
-        """obs=None (fast loop) == obs=TraceRecorder (general loop)."""
+        """obs=None == obs=TraceRecorder."""
         fast_result, fast_stats = run_traced(
             protocol, _host(), seed=11, obs=None
         )
@@ -49,8 +48,8 @@ class TestFastPathEquivalence:
         )
 
     def test_faulty_run_is_obs_neutral(self, protocol):
-        """With a fault plan both runs take the general loop; attaching
-        an observer must still not perturb outcomes."""
+        """With a fault plan attached, an observer must still not
+        perturb outcomes."""
         plan = FaultPlan(
             seed=5, drop_rate=0.05, delay_rate=0.05, reorder_rate=0.1
         )

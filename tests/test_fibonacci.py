@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.theory import theorem7_distortion_bound
+from repro.core.theory import theorem7_distortion_bound
 from repro.core.fibonacci import (
     FibonacciParams,
     build_fibonacci_spanner,

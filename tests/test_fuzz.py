@@ -16,7 +16,7 @@ import math
 import pytest
 
 import repro.fuzz.runner as fuzz_runner
-from repro.analysis.theory import skeleton_size_bound
+from repro.core.theory import skeleton_size_bound
 from repro.fuzz import (
     FUZZ_PROTOCOLS,
     FuzzCase,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.theory import (
+from repro.core.theory import (
     skeleton_distortion_bound,
     skeleton_size_bound,
 )

@@ -1,21 +1,24 @@
 """The sharded-engine equivalence oracle: N shards == one process.
 
 :class:`repro.distributed.sharded.ShardedNetwork` is an
-equivalence-preserving optimization in exactly the sense the
-clean/general loop split is (``tests/test_engine_equivalence.py``): for
-every protocol and every shard count the sharded run must produce
-byte-identical protocol outputs, an identical
-:class:`~repro.distributed.simulator.NetworkStats`, and — with a tracer
-attached — byte-identical ``repro trace`` JSONL versus the
+equivalence-preserving optimization: for every protocol and every shard
+count the sharded run must produce byte-identical protocol outputs, an
+identical :class:`~repro.distributed.simulator.NetworkStats`, and — with
+a tracer attached — byte-identical ``repro trace`` JSONL versus the
 single-process engine.  These tests pin that contract for shard counts
 {1, 2, 4} across all five protocols, plus the engine's restriction
 surface (no fault plans / reliable layer / strict mode), the worker
-pool's stale-generation guard, and multi-phase ``run`` resumability
-across all three engines.
+pool's stale-generation guard, dead-worker reporting and quiet shutdown,
+and multi-phase ``run`` resumability across all three engines.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -24,8 +27,10 @@ from repro.distributed import FaultPlan
 from repro.distributed.reliable import build_network
 from repro.distributed.sharded import (
     ShardedNetwork,
+    _WorkerPool,
     boundary_edges,
     shard_ranges,
+    shutdown_workers,
 )
 from repro.distributed.simulator import Api, Network, NodeProgram
 from repro.graphs import erdos_renyi_gnp
@@ -33,6 +38,8 @@ from repro.graphs.generators import path
 from repro.obs import Obs, PROTOCOLS, TraceRecorder, run_traced
 
 SHARD_COUNTS = (1, 2, 4)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _host() -> Any:
@@ -131,6 +138,48 @@ class TestRestrictions:
         second.run(2)  # the resident network still works
 
 
+class TestWorkerPool:
+    def test_shutdown_prints_nothing(self):
+        """Workers exit quietly when the coordinator closes their pipes."""
+        script = (
+            "from repro.distributed.baswana_sen_protocol import "
+            "distributed_baswana_sen\n"
+            "from repro.distributed.sharded import shutdown_workers\n"
+            "from repro.graphs import erdos_renyi_gnp\n"
+            "distributed_baswana_sen(\n"
+            "    erdos_renyi_gnp(60, 0.1, seed=7), 3, seed=1, shards=2\n"
+            ")\n"
+            "shutdown_workers()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
+    def test_dead_worker_names_shard_and_exit_code(self):
+        shutdown_workers()
+        pool = _WorkerPool.get(2)
+        victim = pool._procs[1]
+        victim.kill()
+        victim.join(timeout=10)
+        graph = path(4)
+        slices = [
+            {v: _GossipMax(v) for v in (0, 1)},
+            {v: _GossipMax(v) for v in (2, 3)},
+        ]
+        with pytest.raises(
+            RuntimeError,
+            match=rf"shard 1 worker died \(exitcode {-signal.SIGKILL}\)",
+        ):
+            pool.load(graph, slices, None, False)
+        assert multiprocessing.active_children() == []
+
+
 class TestShardGeometry:
     def test_ranges_partition_and_clamp(self):
         order = list(range(10))
@@ -157,8 +206,7 @@ class TestShardGeometry:
 
 # ----------------------------------------------------------------------
 # Multi-phase resumability: run() called twice, state carried across —
-# identical behavior on the clean loop, the general (instrumented) loop
-# and the sharded engine.  The program must be module-level so the
+# identical behavior unobserved, observed and on the sharded engine.  The program must be module-level so the
 # spawn-context shard workers can unpickle it.
 # ----------------------------------------------------------------------
 class _GossipMax(NodeProgram):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.theory import (
+from repro.core.theory import (
     PHI,
     corollary2_betas,
     elkin_zhang_beta,
