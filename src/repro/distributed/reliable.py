@@ -141,8 +141,11 @@ class _VirtualApi:
         self._outbox.append((dst, payload))
 
     def broadcast(self, payload: Any) -> None:
-        # Recipients come from the validated neighbor list — no
-        # per-edge membership re-check (mirrors Api.broadcast).
+        # Written out per neighbor here, unlike Api.broadcast's single
+        # record: ReliableProgram frames, sequences and acknowledges
+        # each link separately, so every neighbor needs its own entry.
+        # Recipients come from the validated neighbor list, so no
+        # per-edge membership re-check.
         outbox = self._outbox
         for u in self._real.neighbors:
             outbox.append((u, payload))

@@ -26,11 +26,18 @@ rather than scanned; payload word counts are memoized
 (:class:`repro.util.words.WordCounter`); and because senders are
 collected in ascending vertex order, each inbox bucket is *already*
 src-sorted, so the per-node ``sorted()`` call is paid only when a fault
-plan can perturb delivery order.  One specialised branch remains, in
-``_collect_outboxes``: an outbox whose sends all go to distinct
-neighbors is charged slot by slot, with no per-destination dict —
-charging every outbox through the per-destination pass instead cost
-17-23% of clean-run message throughput.  The shard workers of
+plan can perturb delivery order.  ``Api.broadcast`` queues one
+``(None, payload)`` record instead of one entry per neighbor, and
+``_collect_outboxes`` has two specialised branches: an outbox that is
+exactly one broadcast record is charged once for all its ``deg`` slots
+and delivers one shared inbox entry (such outboxes carry most of the
+broadcast-driven protocols' messages; +30% clean-run message
+throughput), and an outbox whose sends all go to distinct neighbors is
+charged slot by slot, with no per-destination dict — charging every
+outbox through the per-destination pass instead cost 17-23%.  Every
+other outbox with a record is written out per neighbor first, so
+broadcasts are charged, traced and delivered exactly like ``send``
+loops.  The shard workers of
 :mod:`repro.distributed.sharded` run the same round body
 (``_run_setup`` / ``_run_round``).  Trace bytes and counts are pinned
 across engine versions by ``tests/test_trace_golden.py``.
@@ -178,7 +185,8 @@ class Api:
     def __init__(self, network: "Network", node_id: int) -> None:
         self._network = network
         self.node_id = node_id
-        self._outbox: List[Tuple[int, Any]] = []
+        #: ``(dst, payload)`` sends; ``dst`` is None for a broadcast.
+        self._outbox: List[Tuple[Optional[int], Any]] = []
         self._halted = False
         #: cached at construction: the sorted neighbor list (delivery
         #: determinism) and the adjacency set (O(1) send validation).
@@ -206,11 +214,15 @@ class Api:
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` to every neighbor.
 
-        The recipients come from the cached neighbor list, so no
-        per-edge membership validation is re-done (every entry is a
-        neighbor by construction); a direct ``send`` still validates.
+        Queued as one ``(None, payload)`` record, not one entry per
+        neighbor: the engine writes it out over the cached neighbor list
+        when it collects the outbox, so it is charged, traced and
+        delivered exactly like a ``send`` loop over :attr:`neighbors`.
+        ``None`` is never a ``send`` destination (``send`` validates
+        ``dst``), and a node without neighbors queues nothing.
         """
-        self._outbox += [(u, payload) for u in self._nbrs]
+        if self._nbrs:
+            self._outbox.append((None, payload))
 
     def halt(self) -> None:
         """Stop participating; the node receives no further rounds."""
@@ -263,6 +275,20 @@ def _check_programs(graph: Graph, programs: Dict[int, Any]) -> None:
         raise ValueError(
             f"programs for vertices not in the graph: {unknown[:5]}"
         )
+
+
+def _expand_broadcasts(
+    outbox: List[Tuple[Optional[int], Any]], nbrs: List[int]
+) -> List[Tuple[int, Any]]:
+    """``outbox`` as per-neighbor sends, in send order: each broadcast
+    record ``(None, payload)`` is written out as one send per neighbor."""
+    sends: List[Tuple[int, Any]] = []
+    for dst, payload in outbox:
+        if dst is None:
+            sends += [(u, payload) for u in nbrs]
+        else:
+            sends.append((dst, payload))
+    return sends
 
 
 class Network:
@@ -414,6 +440,17 @@ class Network:
         bucket comes out already sorted by source — the invariant that
         lets the clean delivery path skip per-node inbox sorting.
 
+        An outbox that is exactly one broadcast record (the bulk of all
+        traffic in the broadcast-driven protocols) is charged once: one
+        word lookup, ``deg`` slots added to the counters together, one
+        ``obs.on_send`` per neighbor in ascending order, and one
+        ``(src, payload)`` entry shared by every neighbor's bucket
+        (entries are immutable tuples).  Any other outbox holding a
+        record is written out per neighbor first, in send order
+        (:func:`_expand_broadcasts`), and takes the send passes: an
+        outbox whose sends all go to distinct neighbors is charged slot
+        by slot, any other one per destination.
+
         Under ``strict`` a check-only pre-pass validates every slot
         against the cap and raises *before* anything is counted, queued,
         cleared or observed, so a :class:`ProtocolError` leaves stats,
@@ -428,7 +465,9 @@ class Network:
         if self.strict and cap is not None:
             for v, api, _ in self._pairs:
                 widths: Dict[int, int] = {}
-                for dst, payload in api._outbox:
+                for dst, payload in _expand_broadcasts(
+                    api._outbox, api._nbrs
+                ):
                     widths[dst] = widths.get(dst, 0) + words_of(payload)
                 for dst, words in widths.items():
                     if words > cap:
@@ -447,11 +486,46 @@ class Network:
             if not outbox:
                 continue
             api._outbox = []
-            if len({dst for dst, _ in outbox}) == len(outbox):
-                # No two sends share a destination (the overwhelmingly
-                # common case): each outbox entry is its own slot — no
+            if len(outbox) == 1 and outbox[0][0] is None:
+                # One broadcast record (a record implies deg >= 1).
+                payload = outbox[0][1]
+                try:
+                    words = words_cache[payload]
+                except (KeyError, TypeError):
+                    words = words_of(payload)
+                nbrs = api._nbrs
+                deg = len(nbrs)
+                messages += deg
+                total_words += deg * words
+                if words > max_words:
+                    max_words = words
+                if cap is not None and words > cap:
+                    violations += deg
+                if obs is not None:
+                    payloads = [payload]
+                    for dst in nbrs:
+                        obs.on_send(send_round, v, dst, words, payloads)
+                entry = (v, payload)
+                for dst in nbrs:
+                    bucket = next_pending.get(dst)
+                    if bucket is None:
+                        next_pending[dst] = [entry]
+                    else:
+                        bucket.append(entry)
+                continue
+            dsts = {d for d, _ in outbox}
+            sends: List[Tuple[int, Any]]
+            if None in dsts:
+                sends = _expand_broadcasts(outbox, api._nbrs)
+                distinct = len({dst for dst, _ in sends})
+            else:
+                sends = outbox  # type: ignore[assignment]  # no None dst
+                distinct = len(dsts)
+            if distinct == len(sends):
+                # No two sends share a destination (the common case for
+                # send-driven protocols): each send is its own slot — no
                 # per-destination dict-of-lists to build and unwind.
-                for dst, payload in outbox:
+                for dst, payload in sends:
                     try:
                         words = words_cache[payload]
                     except (KeyError, TypeError):
@@ -470,7 +544,7 @@ class Network:
                     bucket.append((v, payload))
                 continue
             per_dst: Dict[int, List[Any]] = {}
-            for dst, payload in outbox:
+            for dst, payload in sends:
                 bucket_p = per_dst.get(dst)
                 if bucket_p is None:
                     per_dst[dst] = [payload]

@@ -14,6 +14,7 @@ performance regression (see :mod:`repro.perf.compare`).
 
 from __future__ import annotations
 
+import multiprocessing
 import resource
 import sys
 from time import perf_counter
@@ -49,6 +50,24 @@ def _peak_rss_kb() -> int:
     if sys.platform == "darwin":
         return peak // 1024
     return peak
+
+
+def _children_peak_rss_kb() -> int:
+    """Summed peak RSS (``VmHWM``) of this process's live
+    ``multiprocessing`` children, in KiB (0 where ``/proc`` is absent)."""
+    total = 0
+    for child in multiprocessing.active_children():
+        try:
+            with open(
+                f"/proc/{child.pid}/status", encoding="utf-8", errors="replace"
+            ) as fh:
+                for line in fh:
+                    if line.startswith("VmHWM:"):
+                        total += int(line.split()[1])
+                        break
+        except OSError:
+            continue
+    return total
 
 
 def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
@@ -104,9 +123,11 @@ def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
     """Benchmark one sharded-engine cell: best-of-``reps`` plus counts.
 
     Mirrors :func:`run_cell` with the run dispatched to the sharded
-    engine at the cell's shard count.  The worker pool is persistent,
-    so the first rep absorbs the spawn cost and the best-of-reps wall
-    measures steady-state round throughput; counts are engine-invariant
+    engine at the cell's shard count.  Each cell starts on a fresh
+    worker pool, so the workers' high-water marks belong to this cell;
+    the first rep absorbs the spawn cost and the best-of-reps wall
+    measures steady-state round throughput.  ``peak_rss_kb`` is this
+    process's peak plus every worker's.  Counts are engine-invariant
     (pinned by ``tests/test_sharded_equivalence.py``), so drift against
     a single-process baseline row is a correctness failure here too.
 
@@ -114,8 +135,11 @@ def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
     process bench pool's workers are daemonic, so the CLI forces
     ``jobs=1`` for sharded matrices.
     """
+    from repro.distributed.sharded import shutdown_workers
+
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    shutdown_workers()
     graph = cell.build_graph()
     best_wall = float("inf")
     counts: Optional[Tuple[int, int, int]] = None
@@ -155,7 +179,7 @@ def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
         "messages_per_s": (
             round(messages / best_wall, 1) if best_wall > 0 else 0.0
         ),
-        "peak_rss_kb": _peak_rss_kb(),
+        "peak_rss_kb": _peak_rss_kb() + _children_peak_rss_kb(),
     }
 
 

@@ -132,18 +132,37 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cpu_model() -> str:
+    """The CPU model name from ``/proc/cpuinfo``, else the platform's."""
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
 def build_report(
     results: List[CellResult],
     matrix: str,
     reps: int,
     kind: str = "BENCH_simulator",
 ) -> Dict[str, Any]:
-    """Assemble the serializable report around measured cells."""
+    """Assemble the serializable report around measured cells.
+
+    The header records the hardware that produced the wall times:
+    ``cpus`` is the CPU budget the default ``--jobs`` uses (the
+    scheduling affinity count), ``cpu_model`` the processor.
+    """
     return {
         "schema": _SCHEMA,
         "kind": kind,
         "matrix": matrix,
         "reps": reps,
+        "cpus": default_jobs(),
+        "cpu_model": _cpu_model(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(

@@ -15,7 +15,7 @@ from repro.perf import (
     run_matrix,
     smoke_matrix,
 )
-from repro.perf.bench import run_sharded_cell
+from repro.perf.bench import _peak_rss_kb, run_sharded_cell
 from repro.perf.cli import build_report, main as bench_main
 from repro.perf.runner import default_jobs
 from repro.perf.workloads import ShardedCell, sharded_matrix
@@ -131,6 +131,10 @@ class TestShardedMatrix:
             assert sharded[name] == base[name]
         assert sharded["shards"] == 2
         assert sharded["cell_id"] == "baswana_sen/grid/smoke/s1/shards2"
+        if os.path.exists("/proc/self/status"):
+            # The row adds the two shard workers' peaks to this
+            # process's own.
+            assert sharded["peak_rss_kb"] > _peak_rss_kb()
 
 
 def _report(cells):
@@ -258,5 +262,7 @@ class TestCli:
         assert report["schema"] == 1
         assert report["matrix"] == "full"
         assert report["reps"] == 3
+        assert report["cpus"] == default_jobs()
+        assert report["cpu_model"]
         assert report["python"]
         assert report["recorded"]

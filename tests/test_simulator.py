@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+import random
+from typing import Any, Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import Api, Network, NetworkStats, NodeProgram, ProtocolError
 from repro.graphs import path, star
+from repro.obs import Obs, TraceRecorder
 
 
 class Echo(NodeProgram):
@@ -249,11 +253,21 @@ class TestStrictCapAtomicity:
         def on_round(self, api, round_index, inbox):
             pass
 
-    def test_violation_counts_and_queues_nothing(self):
-        g = star(3)
+    class _WideBroadcast(NodeProgram):
+        def setup(self, api):
+            if api.node_id == 0:
+                api.broadcast("ok")  # 1 word on both edges, under the cap
+            elif api.node_id == 1:
+                api.broadcast((1, 2, 3, 4, 5))  # 5 words, over the cap
+
+        def on_round(self, api, round_index, inbox):
+            pass
+
+    @staticmethod
+    def _assert_nothing_counted(program_cls):
         net = Network(
-            g,
-            program_factory=lambda v: self._MixedWidth(),
+            star(3),
+            program_factory=lambda v: program_cls(),
             max_message_words=3,
             strict=True,
         )
@@ -263,6 +277,15 @@ class TestStrictCapAtomicity:
         assert net.stats.total_words == 0
         assert net.stats.max_message_words == 0
         assert not net.in_flight
+
+    def test_violation_counts_and_queues_nothing(self):
+        self._assert_nothing_counted(self._MixedWidth)
+
+    def test_broadcast_violation_counts_and_queues_nothing(self):
+        # The clean broadcast of node 0 is collected before node 1's
+        # wide one: the pre-pass must reject node 1 before node 0's
+        # record is charged or delivered.
+        self._assert_nothing_counted(self._WideBroadcast)
 
     def test_violation_after_clean_rounds_keeps_prior_stats(self):
         class LateWide(NodeProgram):
@@ -405,10 +428,131 @@ class TestInboxOrdering:
         assert saw_any
 
 
+#: payloads of 0-4 words: ``None``, scalars, tuples (nested too) and one
+#: unhashable list, which bypasses the word cache.
+_SCRIPT_PAYLOADS: Tuple[Any, ...] = (
+    None, 0, "x", (1, 2), (None, "ab", 3), (1, 2, 3), ((1, 2), (3, 4)),
+    [5, (6, 7)],
+)
+
+
+def _random_script(
+    seed: int, vertices: List[int], rounds: int
+) -> Dict[Tuple[int, int], List[Tuple[str, int, Any]]]:
+    """(vertex, round) -> 0-3 ``("broadcast" | "send", pick, payload)``
+    calls; a send goes to neighbor ``pick`` modulo the degree."""
+    rng = random.Random(seed)
+    return {
+        (v, r): [
+            (
+                rng.choice(("broadcast", "send")),
+                rng.randrange(16),
+                rng.choice(_SCRIPT_PAYLOADS),
+            )
+            for _ in range(rng.randint(0, 3))
+        ]
+        for v in vertices
+        for r in range(rounds)
+    }
+
+
+class _Scripted(NodeProgram):
+    """Replays its vertex's script and logs every inbox.  With
+    ``as_loop`` each broadcast is written as a ``send`` loop instead."""
+
+    def __init__(
+        self,
+        node_id: int,
+        script: Dict[Tuple[int, int], List[Tuple[str, int, Any]]],
+        as_loop: bool,
+    ) -> None:
+        self.node_id = node_id
+        self.script = script
+        self.as_loop = as_loop
+        self.inboxes: List[Tuple[int, List[Tuple[int, Any]]]] = []
+
+    def _act(self, api: Api, round_index: int) -> None:
+        nbrs = api.neighbors
+        for kind, pick, payload in self.script.get(
+            (self.node_id, round_index), ()
+        ):
+            if kind == "broadcast":
+                if self.as_loop:
+                    for u in nbrs:
+                        api.send(u, payload)
+                else:
+                    api.broadcast(payload)
+            elif nbrs:
+                api.send(nbrs[pick % len(nbrs)], payload)
+
+    def setup(self, api: Api) -> None:
+        self._act(api, 0)
+
+    def on_round(self, api, round_index, inbox) -> None:
+        self.inboxes.append((round_index, list(inbox)))
+        self._act(api, round_index)
+
+
 class TestBroadcastFastPath:
-    """Api.broadcast targets exactly the neighbor list, so it skips the
-    per-destination has_edge revalidation that Api.send performs; a
-    stray non-neighbor send must still be rejected."""
+    """Api.broadcast queues one record that the engine charges and
+    delivers as one send per neighbor: every observable (stats, inboxes,
+    trace bytes, in-flight state, strict-cap errors) must equal the same
+    node program written with a ``send`` loop.  A stray non-neighbor
+    send must still be rejected."""
+
+    @staticmethod
+    def _observe(
+        graph: Any,
+        script: Dict[Tuple[int, int], List[Tuple[str, int, Any]]],
+        as_loop: bool,
+        cap: Any,
+        strict: bool,
+        rounds: int,
+    ) -> Tuple[Any, ...]:
+        recorder = TraceRecorder()
+        programs = {
+            v: _Scripted(v, script, as_loop) for v in graph.vertices()
+        }
+        net = Network(
+            graph,
+            programs=programs,
+            max_message_words=cap,
+            strict=strict,
+            obs=Obs(recorder=recorder),
+        )
+        error = None
+        try:
+            net.run(rounds)
+        except ProtocolError as exc:
+            error = str(exc)
+        return (
+            net.stats,
+            {v: p.inboxes for v, p in programs.items()},
+            recorder.dumps(),
+            net.in_flight,
+            error,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=14),
+        p=st.sampled_from((0.0, 0.15, 0.4)),
+        graph_seed=st.integers(min_value=0, max_value=10 ** 6),
+        script_seed=st.integers(min_value=0, max_value=10 ** 6),
+        cap=st.sampled_from((None, 2, 3)),
+        strict=st.booleans(),
+        rounds=st.integers(min_value=1, max_value=4),
+    )
+    def test_broadcast_equals_send_loop(
+        self, n, p, graph_seed, script_seed, cap, strict, rounds
+    ):
+        from repro.graphs import erdos_renyi_gnp
+
+        g = erdos_renyi_gnp(n, p, seed=graph_seed)
+        script = _random_script(script_seed, list(g.vertices()), rounds)
+        broadcast = self._observe(g, script, False, cap, strict, rounds)
+        send_loop = self._observe(g, script, True, cap, strict, rounds)
+        assert broadcast == send_loop
 
     def test_broadcast_reaches_each_neighbor_exactly_once(self):
         g = star(6)
