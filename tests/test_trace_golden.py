@@ -3,7 +3,7 @@
 The other trace oracles (``test_engine_equivalence.py``,
 ``test_obs.py``) compare two runs of the *same* code, so a change to the
 round loop that perturbs every run alike would pass them.  This file
-pins absolute values instead: for each of the six protocols, in three
+pins absolute values instead: for each of the six protocols, in five
 configurations, the SHA-256 of the canonical JSONL trace
 (``TraceRecorder.dumps()``) and the :class:`NetworkStats` counters.
 
@@ -12,7 +12,12 @@ The configurations cover every stage of the round:
 * ``clean`` — no fault plan;
 * ``faulty`` — drops, duplicates, delays and inbox reorders, one
   crash-recover node and one amnesia-crash node;
-* ``reliable`` — the same fault plan under the reliable-delivery layer.
+* ``reliable`` — the same fault plan under the reliable-delivery layer;
+* ``lossy`` — drops, duplicates and delays only: no crash and no
+  reorder, so the engine may skip the crash and reorder work (the
+  plan the ``reliable`` benchmark workload runs);
+* ``lossy_reliable`` — the lossy plan under the reliable-delivery
+  layer.
 
 Regenerate the table only for a change that means to alter traces or
 counts, and say so in its description.  Traces are independent of
@@ -125,9 +130,57 @@ GOLDEN: Dict[Tuple[str, str], Tuple[str, Tuple[int, ...]]] = {
         (645, 59001, 218318, 15, 0, 4374, 4239, 4173, 1419, 7475, 0,
          13926),
     ),
+    ("skeleton", "lossy"): (
+        "5382c2dd188184b06541abed5a6eeea234c979cd7b1d8b4d8c130ddfccbd1b51",
+        (28, 487, 1114, 11, 0, 20, 31, 28, 0, 0, 0, 0),
+    ),
+    ("skeleton", "lossy_reliable"): (
+        "156a5ad6c358577e7240109546bab8f73bbc19ceb9742ed94b59ae55712f6061",
+        (578, 55083, 207457, 17, 19, 4231, 4112, 4074, 0, 7205, 0, 12161),
+    ),
+    ("baswana_sen", "lossy"): (
+        "25d8b78c7d5b48452be27eb0c057f560bed2c59bb6fdc734bce17d169f3f111c",
+        (6, 365, 365, 1, 0, 15, 19, 24, 0, 0, 0, 0),
+    ),
+    ("baswana_sen", "lossy_reliable"): (
+        "646ba8130a7721a33cb1f1dced33077fc0cea740322dd863fbcd27cf4f57f323",
+        (28, 1639, 5728, 11, 0, 106, 102, 90, 0, 171, 0, 42),
+    ),
+    ("additive", "lossy"): (
+        "ae24f71a018dace8141604c80156406a62365b16cf17073774f93921022a6727",
+        (12, 906, 5692, 24, 0, 47, 46, 41, 0, 0, 0, 0),
+    ),
+    ("additive", "lossy_reliable"): (
+        "e70cbf5ab8bde017eee7f25309765b8ad23edae435162826d6a326ec54a1051f",
+        (661, 62560, 246508, 40, 0, 4722, 4748, 4863, 0, 8221, 0, 13873),
+    ),
+    ("fibonacci", "lossy"): (
+        "3c8b3edd9bbb2695f9ca29bf14f8749c8692dcaf3ed2b22193ceda9c72d93f47",
+        (17, 458, 889, 8, 0, 20, 18, 10, 0, 0, 0, 0),
+    ),
+    ("fibonacci", "lossy_reliable"): (
+        "bcfeca246fd4a54e0a589efba32cebab32fce31cef9eb8805351d7b1cd81d2c0",
+        (76, 5742, 21576, 15, 0, 453, 392, 396, 0, 737, 0, 729),
+    ),
+    ("survey", "lossy"): (
+        "ea7bc19f969698c5b3f4b759438b77fb83129f0cb98f8afabaab13a098afdfcb",
+        (3, 638, 24168, 90, 0, 27, 25, 16, 0, 0, 0, 0),
+    ),
+    ("survey", "lossy_reliable"): (
+        "9c675182b5f43231fa23bd428c9f8d1303e574f490568ce9db2d6c593d20a9ae",
+        (17, 1092, 33987, 150, 0, 81, 66, 74, 0, 137, 0, 0),
+    ),
+    ("deterministic", "lossy"): (
+        "cc3c1176d14244e4db96056be9e4b2f7784944091989d3525dd6a7e429487bf2",
+        (119, 1864, 3728, 4, 0, 88, 81, 84, 0, 0, 0, 0),
+    ),
+    ("deterministic", "lossy_reliable"): (
+        "72b9ba7bcd1f81b121038568c32e83dd39aff18e905b4f75e63351021a799889",
+        (632, 58466, 217970, 15, 0, 4336, 4203, 4310, 0, 7431, 0, 12593),
+    ),
 }
 
-CONFIGS = ("clean", "faulty", "reliable")
+CONFIGS = ("clean", "faulty", "reliable", "lossy", "lossy_reliable")
 
 
 def _fault_plan() -> FaultPlan:
@@ -141,11 +194,19 @@ def _fault_plan() -> FaultPlan:
     )
 
 
+def _lossy_plan() -> FaultPlan:
+    return FaultPlan(
+        seed=5, drop_rate=0.05, duplicate_rate=0.05, delay_rate=0.05
+    )
+
+
 def _run(protocol: str, config: str) -> Tuple[str, Tuple[int, ...]]:
     kwargs: Dict[str, Any] = {}
-    if config != "clean":
+    if config in ("faulty", "reliable"):
         kwargs["fault_plan"] = _fault_plan()
-    if config == "reliable":
+    elif config.startswith("lossy"):
+        kwargs["fault_plan"] = _lossy_plan()
+    if config.endswith("reliable"):
         kwargs["reliable"] = True
     recorder = TraceRecorder()
     _, stats = run_traced(
