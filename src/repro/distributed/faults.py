@@ -14,7 +14,10 @@ misbehave.  This module lets the simulator misbehave *on purpose*:
   (:func:`repro.util.rng.make_prf`) keyed on public coordinates
   (round, src, dst, slot) — the same seed always yields the same fault
   schedule for the same traffic pattern, so chaos runs are replayable
-  bit for bit;
+  bit for bit.  Each key names one delivery or one inbox of one network
+  and recurs only when the plan drives another network, so the draws
+  take the PRF's uncached path
+  (:meth:`repro.util.rng.SaltedPrf.uncached`): one digest per draw;
 * every injected event is recorded as a :class:`FaultEvent` in the
   run's :class:`~repro.distributed.simulator.NetworkStats` (counters
   are always exact; the event log is truncated at
@@ -37,6 +40,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.util.rng import SeedLike, ensure_rng, make_prf
 
+#: the fate of a delivery the plan leaves alone (never recorded).
+DELIVER = "deliver"
 #: fault kinds recorded in :class:`FaultEvent`.
 DROP = "drop"
 DUPLICATE = "duplicate"
@@ -157,7 +162,8 @@ class FaultPlan:
         self.max_delay = max_delay
         self.reorder_rate = reorder_rate
         self.max_logged_events = max_logged_events
-        self._prf = make_prf(seed)
+        #: the PRF's uncached draw: a plan key names one delivery.
+        self._draw = make_prf(seed).uncached
         self._crashes: Dict[int, CrashSpec] = {}
         for spec in crashes:
             if not isinstance(spec, CrashSpec):
@@ -165,6 +171,18 @@ class FaultPlan:
             if spec.node in self._crashes:
                 raise ValueError(f"duplicate crash spec for node {spec.node}")
             self._crashes[spec.node] = spec
+
+    @property
+    def has_crashes(self) -> bool:
+        """Whether the plan holds any crash spec.  Without one the
+        engine skips every crash query, transition and recovery."""
+        return bool(self._crashes)
+
+    @property
+    def has_reorders(self) -> bool:
+        """Whether ``reorder_rate`` is above zero.  Without it the
+        engine never asks for an inbox permutation."""
+        return self.reorder_rate > 0.0
 
     # ------------------------------------------------------------------
     # Crash queries
@@ -205,10 +223,10 @@ class FaultPlan:
     ) -> Tuple[str, int]:
         """Fate of one delivery: ``(kind, info)``.
 
-        ``kind`` is ``"deliver"``, :data:`DROP`, :data:`DUPLICATE` or
+        ``kind`` is :data:`DELIVER`, :data:`DROP`, :data:`DUPLICATE` or
         :data:`DELAY` (``info`` = extra rounds, in [1, max_delay]).
         """
-        u = self._prf("msg", round_no, src, dst, slot)
+        u = self._draw("msg", round_no, src, dst, slot)
         if u < self.drop_rate:
             return DROP, 0
         u -= self.drop_rate
@@ -217,10 +235,10 @@ class FaultPlan:
         u -= self.duplicate_rate
         if u < self.delay_rate:
             extra = 1 + int(
-                self._prf("delay", round_no, src, dst, slot) * self.max_delay
+                self._draw("delay", round_no, src, dst, slot) * self.max_delay
             )
             return DELAY, min(extra, self.max_delay)
-        return "deliver", 0
+        return DELIVER, 0
 
     def reorder_permutation(
         self, round_no: int, dst: int, size: int
@@ -228,11 +246,9 @@ class FaultPlan:
         """A deterministic inbox permutation, or ``None`` (keep order)."""
         if size < 2 or self.reorder_rate <= 0.0:
             return None
-        if self._prf("reorder?", round_no, dst) >= self.reorder_rate:
+        if self._draw("reorder?", round_no, dst) >= self.reorder_rate:
             return None
-        shuffle_seed = int(
-            self._prf("reorder-seed", round_no, dst) * 2**63
-        )
+        shuffle_seed = int(self._draw("reorder-seed", round_no, dst) * 2**63)
         perm = list(range(size))
         ensure_rng(shuffle_seed).shuffle(perm)
         if perm == sorted(perm):

@@ -321,8 +321,8 @@ class ReliableProgram(NodeProgram):
     # ------------------------------------------------------------------
     def _retransmit(self, api: Api) -> None:
         cfg = self.cfg
-        network = api._network
-        stats = network.stats
+        ledger = api._ledger
+        stats = ledger.stats
         for key in sorted(self.unacked):
             entry = self.unacked.get(key)
             if entry is None:
@@ -336,10 +336,8 @@ class ReliableProgram(NodeProgram):
                 continue
             api.send(dst, msg)
             stats.retransmissions += 1
-            if network.obs is not None:
-                network.obs.on_retransmit(
-                    self._real_round, api.node_id, dst
-                )
+            if ledger.obs is not None:
+                ledger.obs.on_retransmit(self._real_round, api.node_id, dst)
             entry[2] = tries + 1
             entry[1] = self._real_round + max(
                 1, int(cfg.rto * cfg.backoff ** (tries + 1))
@@ -357,8 +355,8 @@ class ReliableProgram(NodeProgram):
         if self.inner_halted or self.vround >= self.target:
             return
         cfg = self.cfg
-        network = api._network
-        stats = network.stats
+        ledger = api._ledger
+        stats = ledger.stats
         for u, since in sorted(self.blocked_since.items()):
             if u in self.dead:
                 continue
@@ -371,17 +369,17 @@ class ReliableProgram(NodeProgram):
                 continue
             self._transmit(u, t, msg)
             stats.retransmissions += 1
-            if network.obs is not None:
-                network.obs.on_retransmit(self._real_round, api.node_id, u)
+            if ledger.obs is not None:
+                ledger.obs.on_retransmit(self._real_round, api.node_id, u)
             self.blocked_since[u] = self._real_round
 
     def _mark_dead(self, api: Api, dst: int) -> None:
         if dst in self.dead:
             return
         self.dead.add(dst)
-        network = api._network
-        network.stats.dead_links += 1
-        network._record_fault(
+        ledger = api._ledger
+        ledger.stats.dead_links += 1
+        ledger.record_fault(
             FaultEvent(LINK_DEAD, self._real_round,
                        src=self._shim.node_id, dst=dst)
         )

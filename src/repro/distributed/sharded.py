@@ -244,7 +244,7 @@ def _split_and_report(
         stats.total_words,
         stats.max_message_words,
         stats.violations,
-        engine._halted_count,
+        engine._ledger.halted,
         bool(local),
     )
     log = engine.obs
@@ -278,11 +278,9 @@ def _worker_main(conn: Any) -> None:
                 if new_graph is not None:
                     graph = new_graph
                 assert graph is not None, "load before any graph shipped"
-                if engine is not None:
-                    # Api <-> Network references make the resident engine
-                    # a cycle that only a full collection frees; drop its
-                    # state now so two networks never overlap in memory.
-                    engine.__dict__.clear()
+                # Freed here, by reference counting, before the next
+                # engine is built: two networks never overlap in memory.
+                engine = None
                 log = _EventLog() if record else None
                 engine = _ShardEngine(graph, programs, cap, log)
                 if engine._order:

@@ -18,15 +18,17 @@ latter is how benches *observe* a protocol's message-length requirement.
 
 Hot path (see ``docs/performance.md``): :meth:`Network.run` is the one
 round loop for every configuration.  Fault delivery and ``obs.on_round``
-are gated once per round, and the crash skip and inbox re-sort once per
-node step, each behind one ``is not None`` check.  The vertex order and
-per-node sorted neighbor lists are computed once at construction;
-halted nodes are skipped via an incrementally maintained active list
-rather than scanned; payload word counts are memoized
+are gated once per round; the crash skip and the reorder draw are paid
+per node step only under a plan that holds crashes or a reorder rate.
+The vertex order and per-node sorted neighbor lists are computed once at
+construction; halted nodes are skipped via an incrementally maintained
+active list rather than scanned; payload word counts are memoized
 (:class:`repro.util.words.WordCounter`); and because senders are
 collected in ascending vertex order, each inbox bucket is *already*
-src-sorted, so the per-node ``sorted()`` call is paid only when a fault
-plan can perturb delivery order.  ``Api.broadcast`` queues one
+src-sorted, so a bucket is re-sorted only when a fault-delayed arrival
+joins it.  An :class:`Api` reports halts and faults to a per-network
+ledger that holds no reference back to the network, so a finished
+network is freed by reference counting.  ``Api.broadcast`` queues one
 ``(None, payload)`` record instead of one entry per neighbor, and
 ``_collect_outboxes`` has two specialised branches: an outbox that is
 exactly one broadcast record is charged once for all its ``deg`` slots
@@ -46,11 +48,13 @@ across engine versions by ``tests/test_trace_golden.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.distributed.faults import (
     CRASH_DROP,
     DELAY,
+    DELIVER,
     DROP,
     DUPLICATE,
     REORDER,
@@ -175,23 +179,66 @@ class NetworkStats:
         return text
 
 
+class _Ledger:
+    """The per-network state an :class:`Api` may write: halts, stats and
+    the observability bundle, plus the network size.
+
+    The network owns it and every Api holds it.  Nothing in it points
+    back at the network, so a finished network is freed as soon as its
+    last reference goes, not at the next full cyclic collection.
+    """
+
+    __slots__ = (
+        "n", "halted", "active_dirty", "stats", "obs", "fault_log_limit"
+    )
+
+    def __init__(
+        self,
+        n: int,
+        stats: NetworkStats,
+        obs: Optional[Any],
+        fault_log_limit: int,
+    ) -> None:
+        self.n = n
+        #: halt bookkeeping: ``Network.all_halted`` is an O(1) count
+        #: check, and the active list is rebuilt only after a halt.
+        self.halted = 0
+        self.active_dirty = True
+        self.stats = stats
+        self.obs = obs
+        #: bound on the in-memory fault event log of ``stats``.
+        self.fault_log_limit = fault_log_limit
+
+    def record_fault(self, event: FaultEvent) -> None:
+        """Fault accounting chokepoint: bounded in-memory log + trace."""
+        self.stats.record_fault(event, self.fault_log_limit)
+        if self.obs is not None:
+            self.obs.on_fault(event)
+
+
 class Api:
     """Per-node handle passed into the node program each round."""
 
     __slots__ = (
-        "_network", "node_id", "_outbox", "_halted", "_nbrs", "_nbr_set"
+        "_ledger", "node_id", "_outbox", "_halted", "_nbrs", "_nbr_set"
     )
 
-    def __init__(self, network: "Network", node_id: int) -> None:
-        self._network = network
+    def __init__(
+        self,
+        ledger: _Ledger,
+        node_id: int,
+        nbrs: List[int],
+        nbr_set: Set[int],
+    ) -> None:
+        self._ledger = ledger
         self.node_id = node_id
         #: ``(dst, payload)`` sends; ``dst`` is None for a broadcast.
         self._outbox: List[Tuple[Optional[int], Any]] = []
         self._halted = False
         #: cached at construction: the sorted neighbor list (delivery
         #: determinism) and the adjacency set (O(1) send validation).
-        self._nbrs = network.sorted_neighbors(node_id)
-        self._nbr_set = network.graph.neighbors(node_id)
+        self._nbrs = nbrs
+        self._nbr_set = nbr_set
 
     @property
     def neighbors(self) -> List[int]:
@@ -201,7 +248,7 @@ class Api:
     @property
     def n(self) -> int:
         """The network size n (known to all processors in the model)."""
-        return self._network.graph.n
+        return self._ledger.n
 
     def send(self, dst: int, payload: Any) -> None:
         """Queue ``payload`` for delivery to neighbor ``dst`` next round."""
@@ -228,11 +275,11 @@ class Api:
         """Stop participating; the node receives no further rounds."""
         if not self._halted:
             self._halted = True
-            network = self._network
-            network._halted_count += 1
-            network._active_dirty = True
-            if network.obs is not None:
-                network.obs.on_halt(network.stats.rounds, self.node_id)
+            ledger = self._ledger
+            ledger.halted += 1
+            ledger.active_dirty = True
+            if ledger.obs is not None:
+                ledger.obs.on_halt(ledger.stats.rounds, self.node_id)
 
 
 class NodeProgram:
@@ -356,24 +403,27 @@ class Network:
         self.fault_log_limit = (
             fault_plan.max_logged_events if fault_plan is not None else 256
         )
+        #: what the Apis write (halts, faults, stats, obs); it holds no
+        #: reference back, so no Api <-> Network cycle exists.
+        self._ledger = _Ledger(graph.n, self.stats, obs, self.fault_log_limit)
         #: hot-path state, computed once: ascending vertex order and the
         #: per-node sorted neighbor lists (never re-sorted per round).
         self._order: List[int] = sorted(programs)
         self._sorted_nbrs: Dict[int, List[int]] = {
             v: sorted(graph.neighbors(v)) for v in self._order
         }
-        self._apis = {v: Api(self, v) for v in self._order}
+        self._apis = {
+            v: Api(self._ledger, v, self._sorted_nbrs[v], graph.neighbors(v))
+            for v in self._order
+        }
         #: (vertex, api, program) triples in delivery order — the round
         #: loop and outbox collection iterate this instead of re-sorting
         #: the api dict every round.
         self._pairs: List[Tuple[int, Api, NodeProgram]] = [
             (v, self._apis[v], self.programs[v]) for v in self._order
         ]
-        #: halt bookkeeping: ``all_halted`` is an O(1) counter check and
-        #: the active list is rebuilt lazily (only on halt transitions)
-        #: so halted nodes are skipped, not scanned, every round.
-        self._halted_count = 0
-        self._active_dirty = True
+        #: unhalted (api, program) pairs, rebuilt lazily (only after a
+        #: halt) so halted nodes are skipped, not scanned, every round.
         self._active: List[Tuple[Api, NodeProgram]] = []
         #: memoized payload word counts (payload structure -> words).
         self._words = WordCounter()
@@ -382,15 +432,6 @@ class Network:
         #: fault-delayed messages: delivery round -> [(dst, src, payload)].
         self._delayed: Dict[int, List[Tuple[int, int, Any]]] = {}
         self._setup_done = False
-
-    def _record_fault(self, event: FaultEvent) -> None:
-        """Fault accounting chokepoint: bounded in-memory log + trace."""
-        self.stats.record_fault(event, self.fault_log_limit)
-        if self.obs is not None:
-            self.obs.on_fault(event)
-
-    def sorted_neighbors(self, v: int) -> List[int]:
-        return self._sorted_nbrs[v]
 
     def apply_programs(
         self, fn: Callable[..., Any], *args: Any, **kwargs: Any
@@ -415,18 +456,19 @@ class Network:
         keep their position until the next rebuild (a node only ever
         halts itself, so the running round's iteration is unaffected).
         """
-        if self._active_dirty:
+        ledger = self._ledger
+        if ledger.active_dirty:
             self._active = [
                 (api, program)
                 for _, api, program in self._pairs
                 if not api._halted
             ]
-            self._active_dirty = False
+            ledger.active_dirty = False
         return self._active
 
     @property
     def all_halted(self) -> bool:
-        return self._halted_count == len(self._apis)
+        return self._ledger.halted == len(self._apis)
 
     @property
     def in_flight(self) -> bool:
@@ -579,55 +621,71 @@ class Network:
         round_no: int,
         pending: Dict[int, List[Tuple[int, Any]]],
     ) -> Dict[int, List[Tuple[int, Any]]]:
-        """Consult the fault plan for every delivery due this round."""
+        """Consult the fault plan for every delivery due this round.
+
+        Buckets come in src-sorted and keep that order through drops,
+        duplicates and outgoing delays; a delivered entry is the
+        pending ``(src, payload)`` tuple itself.  Only a fault-delayed
+        arrival appended to a bucket can break the order, so exactly
+        those buckets are re-sorted, stably by source.  A plan without
+        crash specs skips every crash query.
+        """
         stats = self.stats
-        for event in plan.transitions(round_no):
-            self._record_fault(event)
+        record = self._ledger.record_fault
+        crashes = plan.has_crashes
+        if crashes:
+            for event in plan.transitions(round_no):
+                record(event)
+        decide = plan.decide
+        delayed = self._delayed
         delivered: Dict[int, List[Tuple[int, Any]]] = {}
         for dst in sorted(pending):
             msgs = pending[dst]
-            if plan.is_crashed(dst, round_no):
+            if crashes and plan.is_crashed(dst, round_no):
                 stats.dropped += len(msgs)
-                self._record_fault(
+                record(
                     FaultEvent(CRASH_DROP, round_no, dst=dst,
                                info=len(msgs))
                 )
                 continue
             bucket: List[Tuple[int, Any]] = []
-            for slot, (src, payload) in enumerate(msgs):
-                kind, info = plan.decide(round_no, src, dst, slot)
-                if kind == DROP:
+            for slot, entry in enumerate(msgs):
+                src = entry[0]
+                kind, info = decide(round_no, src, dst, slot)
+                if kind == DELIVER:
+                    bucket.append(entry)
+                elif kind == DROP:
                     stats.dropped += 1
-                    self._record_fault(FaultEvent(DROP, round_no, src, dst))
+                    record(FaultEvent(DROP, round_no, src, dst))
                 elif kind == DUPLICATE:
                     stats.duplicated += 1
-                    self._record_fault(
-                        FaultEvent(DUPLICATE, round_no, src, dst)
-                    )
-                    bucket.append((src, payload))
-                    bucket.append((src, payload))
-                elif kind == DELAY:
-                    stats.delayed += 1
-                    self._record_fault(
-                        FaultEvent(DELAY, round_no, src, dst, info=info)
-                    )
-                    self._delayed.setdefault(round_no + info, []).append(
-                        (dst, src, payload)
-                    )
+                    record(FaultEvent(DUPLICATE, round_no, src, dst))
+                    bucket.append(entry)
+                    bucket.append(entry)
                 else:
-                    bucket.append((src, payload))
+                    stats.delayed += 1
+                    record(FaultEvent(DELAY, round_no, src, dst, info=info))
+                    delayed.setdefault(round_no + info, []).append(
+                        (dst, src, entry[1])
+                    )
             if bucket:
                 delivered[dst] = bucket
         # Fault-delayed messages due now join the inboxes directly (their
         # fate was already decided when they were first due).
-        for dst, src, payload in self._delayed.pop(round_no, ()):
-            if plan.is_crashed(dst, round_no):
+        unsorted: Set[int] = set()
+        for dst, src, payload in delayed.pop(round_no, ()):
+            if crashes and plan.is_crashed(dst, round_no):
                 stats.dropped += 1
-                self._record_fault(
-                    FaultEvent(CRASH_DROP, round_no, src, dst)
-                )
+                record(FaultEvent(CRASH_DROP, round_no, src, dst))
                 continue
-            delivered.setdefault(dst, []).append((src, payload))
+            arrived = delivered.get(dst)
+            if arrived is None:
+                delivered[dst] = [(src, payload)]
+            else:
+                arrived.append((src, payload))
+                unsorted.add(dst)
+        for dst in sorted(unsorted):
+            delivered[dst].sort(key=itemgetter(0))
         return delivered
 
     def _run_setup(self) -> None:
@@ -644,39 +702,43 @@ class Network:
         """One round body: deliver, run every active node, collect.
 
         The caller has already set ``stats.rounds`` to ``round_no``.
-        Inbox buckets leave ``_collect_outboxes`` src-sorted, so they
-        are handed over as they are; only a fault plan can perturb that
-        order (delayed arrivals are appended after their bucket), so the
-        stable re-sort and the reorder draw are paid only under a plan.
+        Inbox buckets reach the nodes src-sorted (``_collect_outboxes``
+        builds them so, and ``_apply_faults`` re-sorts the few a delayed
+        arrival disorders), so they are handed over as they are.  The
+        crash skip and the reorder draw are paid only under a plan that
+        holds crashes or a reorder rate.
         """
         plan = self.fault_plan
         pending, self._pending = self._pending, {}
+        crashed: Optional[Callable[[int, int], bool]] = None
+        reorder: Optional[Callable[..., Optional[List[int]]]] = None
         if plan is not None:
             pending = self._apply_faults(plan, round_no, pending)
-            # Amnesia recoveries fire before the round's on_round: the
-            # node wipes volatile state (and may solicit a repair
-            # handshake) before seeing any new messages.
-            for v in plan.amnesia_recoveries(round_no):
-                api_v = self._apis[v]
-                if not api_v._halted:
-                    self.programs[v].on_amnesia_recover(api_v, round_no)
+            if plan.has_crashes:
+                crashed = plan.is_crashed
+                # Amnesia recoveries fire before the round's on_round:
+                # the node wipes volatile state (and may solicit a
+                # repair handshake) before seeing any new messages.
+                for v in plan.amnesia_recoveries(round_no):
+                    api_v = self._apis[v]
+                    if not api_v._halted:
+                        self.programs[v].on_amnesia_recover(api_v, round_no)
+            if plan.has_reorders:
+                reorder = plan.reorder_permutation
         get_inbox = pending.get
         for api, program in self._active_pairs():
-            inbox = get_inbox(api.node_id)
-            if plan is not None:
-                v = api.node_id
-                if plan.is_crashed(v, round_no):
-                    continue
-                if inbox is not None:
-                    inbox = sorted(inbox, key=lambda sp: sp[0])
-                    perm = plan.reorder_permutation(round_no, v, len(inbox))
-                    if perm is not None:
-                        inbox = [inbox[i] for i in perm]
-                        self.stats.reordered += 1
-                        self._record_fault(
-                            FaultEvent(REORDER, round_no, dst=v,
-                                       info=len(inbox))
-                        )
+            v = api.node_id
+            inbox = get_inbox(v)
+            if crashed is not None and crashed(v, round_no):
+                continue
+            if reorder is not None and inbox is not None:
+                perm = reorder(round_no, v, len(inbox))
+                if perm is not None:
+                    inbox = [inbox[i] for i in perm]
+                    self.stats.reordered += 1
+                    self._ledger.record_fault(
+                        FaultEvent(REORDER, round_no, dst=v, info=len(inbox))
+                    )
             program.on_round(
                 api, round_no, inbox if inbox is not None else []
             )
@@ -698,9 +760,10 @@ class Network:
             self._run_setup()
         stats = self.stats
         obs = self.obs
+        ledger = self._ledger
         total = len(self._apis)
         for _ in range(max_rounds):
-            if self._halted_count == total:
+            if ledger.halted == total:
                 break
             stats.rounds += 1
             if obs is not None:

@@ -14,9 +14,10 @@ statically bans, *inside NodeProgram subclasses of protocol modules*
   is not ``self``);
 * any reference to simulator internals (``_pending``, ``_apis``,
   ``_outbox``, ``_delayed``, ``_sorted_nbrs``, ``_setup_done``,
-  ``_halted``, ``_network``, ``_nbrs``, ``_nbr_set``, ``_pairs``,
-  ``_active``, ``_init_state``, ``_run_setup``, ``_run_round``)
-  anywhere in an attribute chain, even one rooted at ``self``;
+  ``_halted``, ``_network``, ``_ledger``, ``_nbrs``, ``_nbr_set``,
+  ``_pairs``, ``_active``, ``_init_state``, ``_run_setup``,
+  ``_run_round``) anywhere in an attribute chain, even one rooted at
+  ``self``;
 * holding the global objects at all: bare reads of names ``network`` /
   ``simulator`` inside node-program code.
 
@@ -58,6 +59,10 @@ _SIMULATOR_INTERNALS = frozenset(
         "_init_state",
         "_run_setup",
         "_run_round",
+        # the per-network halt/stats/obs ledger an Api reports to;
+        # ``_network`` stays listed so code reaching for the network
+        # through an Api still fails lint.
+        "_ledger",
     }
 )
 

@@ -15,6 +15,7 @@ from repro.perf.compare import ComparisonResult, compare_reports
 from repro.perf.runner import run_matrix
 from repro.perf.workloads import (
     BENCH_PROTOCOLS,
+    ReliableCell,
     SCALES,
     SEEDS,
     SERVICE_MIXES,
@@ -29,6 +30,7 @@ __all__ = [
     "BENCH_PROTOCOLS",
     "CellResult",
     "ComparisonResult",
+    "ReliableCell",
     "SCALES",
     "SEEDS",
     "SERVICE_MIXES",

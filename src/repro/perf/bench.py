@@ -1,8 +1,9 @@
 """Measuring one workload cell.
 
-:func:`run_cell` builds the cell's host graph, runs the protocol on the
-clean fast path (``obs=None``, no fault plan) ``reps`` times, and keeps
-the *best* wall time — the standard noise-rejection choice for
+:func:`run_cell` builds the cell's host graph, runs the protocol
+unobserved (``obs=None``; on the clean engine, or over the reliable
+layer under the cell's fault plan) ``reps`` times, and keeps the *best*
+wall time — the standard noise-rejection choice for
 microbenchmarks: the minimum over repetitions estimates the true cost,
 while means absorb scheduler jitter.
 
@@ -76,18 +77,31 @@ def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
     The graph is built once (outside the timed region — generator cost
     is not simulator cost) and every rep runs the identical
     deterministic computation, so counts are asserted equal across
-    reps.
+    reps.  A cell with a fault plan runs over the reliable layer, and
+    its row adds ``retransmissions`` and ``dropped``.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     graph = cell.build_graph()
+    plan = cell.fault_plan()
+    faults: Dict[str, Any] = (
+        {} if plan is None else {"reliable": True, "fault_plan": plan}
+    )
     best_wall = float("inf")
-    counts: Optional[Tuple[int, int, int]] = None
+    counts: Optional[Tuple[int, ...]] = None
     for _ in range(reps):
         start = perf_counter()
-        _, stats = run_traced(cell.protocol, graph, seed=cell.seed, obs=None)
+        _, stats = run_traced(
+            cell.protocol, graph, seed=cell.seed, obs=None, **faults
+        )
         wall = perf_counter() - start
-        rep_counts = (stats.rounds, stats.messages, stats.total_words)
+        rep_counts = (
+            stats.rounds,
+            stats.messages,
+            stats.total_words,
+            stats.retransmissions,
+            stats.dropped,
+        )
         if counts is None:
             counts = rep_counts
         elif counts != rep_counts:
@@ -98,8 +112,8 @@ def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
         if wall < best_wall:
             best_wall = wall
     assert counts is not None
-    rounds, messages, words = counts
-    return {
+    rounds, messages, words, retransmissions, dropped = counts
+    row: CellResult = {
         "cell_id": cell.cell_id,
         "protocol": cell.protocol,
         "graph_kind": cell.graph_kind,
@@ -117,6 +131,10 @@ def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
         ),
         "peak_rss_kb": _peak_rss_kb(),
     }
+    if plan is not None:
+        row["retransmissions"] = retransmissions
+        row["dropped"] = dropped
+    return row
 
 
 def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:

@@ -4,9 +4,10 @@ Reports are joined on ``cell_id`` and compared on the intersection —
 a smoke run against a full-matrix baseline simply compares the smoke
 cells.  Two failure classes, deliberately distinct:
 
-* **count drift** — rounds / messages / words (or n / m) differ for
-  the same cell.  The workload is deterministic, so this means the
-  *engine changed behavior*; no timing threshold excuses it.
+* **count drift** — rounds / messages / words (or n / m, or a faulty
+  row's retransmissions / dropped) differ for the same cell.  The
+  workload is deterministic, so this means the *engine changed
+  behavior*; no timing threshold excuses it.
 * **wall regression** — ``new > old * (1 + threshold)`` AND
   ``new - old > min_wall`` seconds.  The absolute guard keeps tiny
   cells (sub-50ms, where pool scheduling noise dominates the signal)
@@ -23,7 +24,11 @@ from typing import Any, Dict, List
 
 __all__ = ["CellDelta", "ComparisonResult", "compare_reports"]
 
-_COUNT_FIELDS = ("n", "m", "rounds", "messages", "words")
+#: a field absent from both rows (clean rows carry no retransmissions
+#: or dropped) compares equal.
+_COUNT_FIELDS = (
+    "n", "m", "rounds", "messages", "words", "retransmissions", "dropped"
+)
 
 
 @dataclass(frozen=True)

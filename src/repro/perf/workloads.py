@@ -13,6 +13,10 @@ Two scales:
   ``G(600, 0.02)``) plus comparable grid/hypercube hosts, for the
   committed baseline and speedup claims.
 
+At each scale, :class:`ReliableCell` rows (ids ending ``/reliable``) run
+Baswana–Sen over the reliable-delivery layer under a seeded lossy fault
+plan, so the fault path has rows of its own.
+
 The full matrix is a superset of the smoke matrix, so a smoke run can
 always be compared against a committed full-matrix baseline on the
 intersection of cell ids.
@@ -20,15 +24,18 @@ intersection of cell ids.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.distributed.faults import FaultPlan
 from repro.graphs.graph import Graph
 from repro.graphs.zoo import GRAPH_KINDS, HOST_SCALES, build_host
 
 __all__ = [
     "BENCH_PROTOCOLS",
     "ChurnCell",
+    "ReliableCell",
     "SCALES",
     "SEEDS",
     "SERVICE_MIXES",
@@ -92,6 +99,39 @@ class WorkloadCell:
     def build_graph(self) -> Graph:
         """Construct this cell's host graph (deterministic per cell)."""
         return build_host(self.graph_kind, self.scale, self.graph_seed)
+
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """The fault plan the cell runs under: none (the clean engine)."""
+        return None
+
+
+@dataclass(frozen=True)
+class ReliableCell(WorkloadCell):
+    """A workload cell run over the reliable-delivery layer under a
+    seeded fault plan: per delivery 5% drop, 2% duplicate and 2% delay
+    (``max_delay=2``), the ``reliable`` workload's mix in
+    ``BENCHMARK.json``.
+
+    Its id ends in ``/reliable``, so a faulty row never joins a clean
+    row or pin of the same workload.  The rounds, messages and words
+    are those of the real (faulty) network; the row also records
+    ``retransmissions`` and ``dropped``, and the count-drift gate
+    covers all five.
+    """
+
+    @property
+    def cell_id(self) -> str:
+        return super().cell_id + "/reliable"
+
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """A fresh plan, seeded from the cell id."""
+        return FaultPlan(
+            seed=zlib.crc32(self.cell_id.encode()),
+            drop_rate=0.05,
+            duplicate_rate=0.02,
+            delay_rate=0.02,
+            max_delay=2,
+        )
 
 
 #: shard counts of the sharded-engine scaling curve (EXPERIMENTS.md
@@ -271,22 +311,33 @@ def churn_matrix(scales: Tuple[str, ...] = SCALES) -> List[ChurnCell]:
 
 
 def _matrix(scales: Tuple[str, ...]) -> List[WorkloadCell]:
-    return [
-        WorkloadCell(protocol, kind, scale, seed)
-        for scale in scales
-        for protocol in BENCH_PROTOCOLS
-        for kind in _GRAPH_KINDS
-        for seed in SEEDS
-    ]
+    cells: List[WorkloadCell] = []
+    for scale in scales:
+        cells += [
+            WorkloadCell(protocol, kind, scale, seed)
+            for protocol in BENCH_PROTOCOLS
+            for kind in _GRAPH_KINDS
+            for seed in SEEDS
+        ]
+        # Baswana–Sen only, as in the ``reliable`` benchmark workload:
+        # other protocols' reliable runs take 10-100x their clean rounds.
+        cells += [
+            ReliableCell("baswana_sen", kind, scale, seed)
+            for kind in _GRAPH_KINDS
+            for seed in SEEDS
+        ]
+    return cells
 
 
 def smoke_matrix() -> List[WorkloadCell]:
-    """The CI-gate matrix: every cell at ``smoke`` scale."""
+    """The CI-gate matrix: every cell at ``smoke`` scale (36 clean and
+    9 ``/reliable`` cells)."""
     return _matrix(("smoke",))
 
 
 def full_matrix() -> List[WorkloadCell]:
-    """The baseline matrix: smoke cells plus the ``e1`` operating point.
+    """The baseline matrix: smoke cells plus the ``e1`` operating point
+    (72 clean and 18 ``/reliable`` cells).
 
     Strictly contains :func:`smoke_matrix`, so smoke runs always find
     their cells in a committed full baseline.

@@ -32,58 +32,75 @@ def ensure_rng(seed: SeedLike = None) -> random.Random:
 class SaltedPrf:
     """A deterministic pseudo-random function ``prf(*keys) -> [0, 1)``.
 
-    Pure function of ``(salt, keys)``; instances are picklable (the
-    memo cache is dropped on pickle, which cannot change any sampling
-    decision), so node programs holding a PRF can be shipped to the
-    sharded engine's worker processes and evolve the *identical*
+    Pure function of ``(salt, keys)``: the value is the first 8 bytes
+    of ``sha256(salt + ":".join(map(repr, keys)).encode())``, read as a
+    little-endian fraction of 2**64.  Instances are picklable (only the
+    salt crosses; the memo is rebuilt empty, which cannot change any
+    sampling decision), so node programs holding a PRF can be shipped
+    to the sharded engine's worker processes and evolve the *identical*
     clustering there.
+
+    Two entry points compute that one value:
+
+    * ``prf(*keys)`` memoizes.  The protocols' shared randomness
+      re-evaluates the same coins at every node (Baswana–Sen's
+      ``(phase, center)`` keys, the skeleton's ``(call, center)``), so
+      its keys repeat heavily and a hit skips the digest.
+    * :meth:`uncached` always digests.  A fault-plan draw names one
+      delivery or one inbox of one network, so its key recurs only when
+      the same plan drives another network; for those draws a memo is
+      a lookup and a store per draw that rarely pays back, plus the
+      memory of the entries (see ``docs/robustness.md``).
     """
 
-    __slots__ = ("_salt", "_cache")
+    __slots__ = ("_salt", "_cache", "_sha256")
 
     def __init__(self, salt: bytes) -> None:
+        # Imported here, not at module import: hashlib is then off the
+        # start-up path of every process that never draws.
+        import hashlib
+
         self._salt = salt
-        # Shared-randomness protocols re-evaluate the same (round,
-        # center) coins at every node, so key tuples repeat heavily;
-        # memoizing cannot change any sampling decision.  Bounded like
-        # WordCounter: cleared wholesale at the cap, never evicted.
+        self._sha256 = hashlib.sha256
+        # Bounded like WordCounter: cleared wholesale at the cap, never
+        # evicted.
         self._cache: Dict[Tuple[Any, ...], float] = {}
 
     def __call__(self, *keys: Any) -> float:
-        import hashlib
-
         cache = self._cache
         try:
             hit = cache.get(keys)
         except TypeError:  # unhashable key — compute directly
-            hit = None
-        else:
-            if hit is not None:
-                return hit
-        # map(repr, ...) keeps the digest input — hence every sampling
-        # decision ever recorded in a trace — bit-identical to the
-        # original generator-expression form, at lower call overhead.
-        digest = hashlib.sha256(
+            return self.uncached(*keys)
+        if hit is not None:
+            return hit
+        value = self.uncached(*keys)
+        if len(cache) >= 1 << 16:
+            cache.clear()
+        cache[keys] = value
+        return value
+
+    def uncached(self, *keys: Any) -> float:
+        """``self(*keys)``, computed afresh without touching the memo.
+
+        The digest input is built here only, so both entry points agree
+        bit for bit.  ``map(repr, ...)`` keeps it — hence every sampling
+        decision ever recorded in a trace — identical to the original
+        generator-expression form, at lower call overhead.
+        """
+        digest = self._sha256(
             self._salt + ":".join(map(repr, keys)).encode()
         ).digest()
-        value = int.from_bytes(digest[:8], "little") / 2**64
-        try:
-            if len(cache) >= 1 << 16:
-                cache.clear()
-            cache[keys] = value
-        except TypeError:
-            pass
-        return value
+        return int.from_bytes(digest[:8], "little") / 2**64
 
     def __getstate__(self) -> bytes:
         return self._salt
 
     def __setstate__(self, salt: bytes) -> None:
-        self._salt = salt
-        self._cache = {}
+        SaltedPrf.__init__(self, salt)
 
 
-def make_prf(seed: SeedLike = None) -> Prf:
+def make_prf(seed: SeedLike = None) -> SaltedPrf:
     """Build a deterministic pseudo-random function ``prf(*keys) -> [0, 1)``.
 
     Distributed algorithms here use *shared randomness*: every processor

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+import hashlib
+from typing import Any, List, Optional, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import (
     Api,
@@ -21,9 +25,11 @@ from repro.distributed.faults import (
     CRASH_DROP,
     DELAY,
     DROP,
+    DUPLICATE,
     RECOVER,
 )
 from repro.graphs import complete, path, star
+from repro.util.rng import Prf, ensure_rng, make_prf
 
 
 class Recorder(NodeProgram):
@@ -163,6 +169,133 @@ class TestDuplicateAndDelay:
         assert net.in_flight  # the delayed message is still pending
         net.run(5)
         assert not net.in_flight
+
+
+def _reference_prf(seed: int, *keys: Any) -> float:
+    """The shared-randomness PRF written out from its definition: the
+    salt ``make_prf`` derives from ``seed``, then SHA-256 of the salt
+    and the ``repr`` of every key joined by ``":"``."""
+    salt = ensure_rng(seed).getrandbits(64).to_bytes(8, "little")
+    digest = hashlib.sha256(salt + ":".join(map(repr, keys)).encode())
+    return int.from_bytes(digest.digest()[:8], "little") / 2**64
+
+
+def _reference_decide(
+    prf: Prf, plan: FaultPlan, round_no: int, src: int, dst: int, slot: int
+) -> Tuple[str, int]:
+    """``FaultPlan.decide`` as it read when every draw went through the
+    memoized PRF (kept verbatim, apart from ``self``)."""
+    u = prf("msg", round_no, src, dst, slot)
+    if u < plan.drop_rate:
+        return DROP, 0
+    u -= plan.drop_rate
+    if u < plan.duplicate_rate:
+        return DUPLICATE, 0
+    u -= plan.duplicate_rate
+    if u < plan.delay_rate:
+        extra = 1 + int(
+            prf("delay", round_no, src, dst, slot) * plan.max_delay
+        )
+        return DELAY, min(extra, plan.max_delay)
+    return "deliver", 0
+
+
+def _reference_reorder(
+    prf: Prf, plan: FaultPlan, round_no: int, dst: int, size: int
+) -> Optional[List[int]]:
+    """``FaultPlan.reorder_permutation`` as it read when every draw went
+    through the memoized PRF."""
+    if size < 2 or plan.reorder_rate <= 0.0:
+        return None
+    if prf("reorder?", round_no, dst) >= plan.reorder_rate:
+        return None
+    shuffle_seed = int(prf("reorder-seed", round_no, dst) * 2**63)
+    perm = list(range(size))
+    ensure_rng(shuffle_seed).shuffle(perm)
+    if perm == sorted(perm):
+        return None
+    return perm
+
+
+#: PRF keys: plain ints as the plan draws them, and keys whose ``repr``
+#: differs from their decimal digits (bools, numpy integers).
+_KEYS = st.one_of(
+    st.integers(0, 10**9),
+    st.booleans(),
+    st.integers(0, 10**9).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+)
+
+
+@st.composite
+def _plans(draw: Any) -> Tuple[int, FaultPlan]:
+    seed = draw(st.integers(0, 2**32))
+    rates = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    scale = max(1.0, sum(rates))
+    drop, duplicate, delay = (rate / scale for rate in rates)
+    plan = FaultPlan(
+        seed=seed,
+        drop_rate=drop,
+        duplicate_rate=duplicate,
+        delay_rate=delay,
+        max_delay=draw(st.integers(1, 4)),
+        reorder_rate=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+    )
+    return seed, plan
+
+
+_COORDS = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(0, 40),
+        st.integers(0, 12),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestUncachedDraw:
+    """Every fault-plan draw skips the PRF's memo; the values, and so
+    every fault decision, must be those of the memoized PRF."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        tag=st.sampled_from(["msg", "delay", "reorder?", "reorder-seed"])
+        | st.text(max_size=8),
+        ints=st.lists(st.integers(0, 10**9), max_size=5),
+        others=st.lists(_KEYS, max_size=3),
+    )
+    def test_uncached_equals_prf(self, seed, tag, ints, others):
+        keys = (tag, *ints, *others)
+        want = _reference_prf(seed, *keys)
+        prf = make_prf(seed)
+        assert prf.uncached(*keys).hex() == want.hex()
+        assert prf(*keys).hex() == want.hex()  # miss: computed
+        assert prf(*keys).hex() == want.hex()  # hit: memoized
+        assert prf.uncached(*keys).hex() == want.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(planned=_plans(), coords=_COORDS)
+    def test_decide_and_reorder_match_reference(self, planned, coords):
+        seed, plan = planned
+        prf = make_prf(seed)
+        for round_no, src, dst, slot, size in coords:
+            assert plan.decide(round_no, src, dst, slot) == (
+                _reference_decide(prf, plan, round_no, src, dst, slot)
+            )
+            assert plan.reorder_permutation(round_no, dst, size) == (
+                _reference_reorder(prf, plan, round_no, dst, size)
+            )
+
+    def test_plan_reports_the_faults_it_holds(self):
+        lossy = FaultPlan(seed=1, drop_rate=0.1, delay_rate=0.1)
+        assert not lossy.has_crashes and not lossy.has_reorders
+        assert FaultPlan(crashes=[(2, 1)]).has_crashes
+        assert FaultPlan(reorder_rate=0.01).has_reorders
 
 
 class TestReorder:

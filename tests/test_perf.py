@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.perf import (
+    ReliableCell,
     WorkloadCell,
     compare_reports,
     full_matrix,
@@ -33,6 +34,42 @@ class TestWorkloadMatrix:
         for cell in smoke_matrix():
             assert cell.cell_id in full_ids
         assert len(smoke_matrix()) < len(full_matrix())
+
+    def test_matrix_sizes(self):
+        # 4 protocols x 3 hosts x 3 seeds of clean cells per scale, plus
+        # Baswana-Sen over the reliable layer on every host and seed.
+        full, smoke = full_matrix(), smoke_matrix()
+        assert len(full) == 90 and len(smoke) == 45
+        faulty = [c for c in full if c.fault_plan() is not None]
+        assert len(faulty) == 18
+        assert {
+            (c.protocol, c.graph_kind, c.scale, c.seed) for c in faulty
+        } == {
+            ("baswana_sen", kind, scale, seed)
+            for kind in ("er", "grid", "hypercube")
+            for scale in ("smoke", "e1")
+            for seed in (1, 2, 3)
+        }
+        assert all(isinstance(c, ReliableCell) for c in faulty)
+        assert all(c.cell_id.endswith("/reliable") for c in faulty)
+        assert sum(isinstance(c, ReliableCell) for c in smoke) == 9
+
+    def test_reliable_plan_seeded_from_the_cell(self):
+        cell = ReliableCell("baswana_sen", "er", "smoke", 1)
+        a, b = cell.fault_plan(), cell.fault_plan()
+        assert a is not None and b is not None
+        assert (a.drop_rate, a.duplicate_rate, a.delay_rate) == (
+            0.05, 0.02, 0.02
+        )
+        assert a.max_delay == 2
+        assert not a.has_crashes and not a.has_reorders
+        coords = [(r, 0, 1, 0) for r in range(1, 40)]
+        assert [a.decide(*c) for c in coords] == [b.decide(*c) for c in coords]
+        other = ReliableCell("baswana_sen", "er", "smoke", 2).fault_plan()
+        assert other is not None
+        assert [a.decide(*c) for c in coords] != [
+            other.decide(*c) for c in coords
+        ]
 
     def test_graphs_deterministic_per_cell(self):
         for cell in smoke_matrix()[:3]:
@@ -63,6 +100,14 @@ class TestRunCell:
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError):
             run_cell(_tiny_cell(), reps=0)
+
+    def test_reliable_cell_records_fault_counts(self):
+        clean = run_cell(_tiny_cell(), reps=1)
+        row = run_cell(ReliableCell("baswana_sen", "grid", "smoke", 1), reps=2)
+        assert row["cell_id"] == "baswana_sen/grid/smoke/s1/reliable"
+        assert row["retransmissions"] > 0 and row["dropped"] > 0
+        assert row["messages"] > clean["messages"]
+        assert "retransmissions" not in clean and "dropped" not in clean
 
 
 class TestRunMatrix:
@@ -182,6 +227,13 @@ class TestCompare:
         assert not result.ok
         assert result.drifted[0].verdict == "count-drift"
         assert "rounds 10 -> 11" in result.drifted[0].detail
+
+    def test_fault_count_drift_is_hard_failure(self):
+        old = dict(_cell(), retransmissions=30, dropped=20)
+        new = dict(_cell(), retransmissions=30, dropped=21)
+        result = compare_reports(_report([old]), _report([new]))
+        assert not result.ok
+        assert "dropped 20 -> 21" in result.drifted[0].detail
 
     def test_faster_cells_reported_as_faster(self):
         result = compare_reports(

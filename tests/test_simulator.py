@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.distributed import Api, Network, NetworkStats, NodeProgram, ProtocolError
 from repro.graphs import path, star
-from repro.obs import Obs, TraceRecorder
+from repro.obs import PROTOCOLS, Obs, TraceRecorder
 
 
 class Echo(NodeProgram):
@@ -391,9 +391,9 @@ class RoundLog(NodeProgram):
 
 
 class TestInboxOrdering:
-    """The clean fast path skips the per-inbox sort (delivery is staged
-    in ascending sender order); the general path sorts only when a fault
-    plan can perturb arrival order.  Either way the contract is the
+    """Delivery is staged in ascending sender order, so no inbox is
+    sorted on the clean path; under a fault plan only a bucket that a
+    delayed arrival joined is re-sorted.  Either way the contract is the
     same: inboxes arrive src-sorted unless the plan *deliberately*
     reorders."""
 
@@ -607,3 +607,50 @@ class TestDelayedMessagesAcrossRuns:
         net.run(10, stop_when_idle=True)
         assert programs[1].received_at == 2
         assert not net.in_flight
+
+
+class TestNoReferenceCycles:
+    """A finished network is freed by reference counting alone.
+
+    An :class:`Api` reports to its network's ledger, which holds no
+    reference back, so no Api <-> Network cycle waits for the cyclic
+    collector.  With the collector off, a whole protocol run leaves
+    nothing for ``gc.collect()`` to find, clean and under the reliable
+    layer.
+    """
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_run_leaves_no_cyclic_garbage(self, protocol, reliable):
+        import gc
+
+        from repro.distributed import FaultPlan
+        from repro.graphs import erdos_renyi_gnp
+        from repro.obs import run_traced
+
+        def run(graph):
+            kwargs = {}
+            if reliable:
+                kwargs = dict(
+                    reliable=True,
+                    fault_plan=FaultPlan(
+                        seed=5,
+                        drop_rate=0.05,
+                        duplicate_rate=0.05,
+                        delay_rate=0.05,
+                    ),
+                )
+            run_traced(protocol, graph, seed=11, **kwargs)
+
+        # A first run on a small host does the lazy imports (modules and
+        # classes are cycles of their own).
+        run(erdos_renyi_gnp(12, 0.3, seed=3))
+        graph = erdos_renyi_gnp(40, 0.12, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            run(graph)
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed == 0
