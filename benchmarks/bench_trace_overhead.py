@@ -20,11 +20,11 @@ from __future__ import annotations
 import time
 
 from repro.analysis.tables import format_table
+from repro.core.protocols import PROTOCOLS
 from repro.graphs import erdos_renyi_gnp
 from repro.obs import (
     MetricsRegistry,
     Obs,
-    PROTOCOLS,
     PhaseProfiler,
     TraceRecorder,
     run_traced,

@@ -59,11 +59,11 @@ import sys
 from importlib import import_module
 from typing import Callable, Dict, List, Optional
 
+from repro.core.protocols import PROTOCOLS
 from repro.obs import (
     MetricsRegistry,
     Obs,
     PhaseProfiler,
-    PROTOCOLS,
     TraceRecorder,
     dumps_events,
     filter_events,

@@ -411,63 +411,32 @@ def deterministic_stretch_bound(n: int, D: int) -> float:
 
 
 def protocol_size_budget(protocol: str, n: int, **params: float) -> float:
-    """The analytic edge-count budget the fuzzer holds ``protocol`` to.
+    """The analytic edge-count budget the fuzzer holds ``protocol`` to:
+    the bound its registry row (:mod:`repro.core.protocols`) names, at
+    the parameters the run resolves from ``params``.  ``survey`` builds
+    no spanner and has no budget (``ValueError``)."""
+    # Function-local: the registry imports this module's bounds.
+    from repro.core.protocols import protocol_spec
 
-    Dispatches to the closed-form bound of the matching lemma/theorem:
-    ``skeleton`` -> :func:`skeleton_size_bound` (Lemma 6),
-    ``baswana_sen`` -> :func:`baswana_sen_size_bound` (corrected Lemma 6
-    recurrence), ``additive`` -> :func:`additive2_size_bound`,
-    ``fibonacci`` -> :func:`fibonacci_size_bound` (Lemma 8).  ``survey``
-    builds no spanner and has no size budget (raises ``ValueError``).
-    Keyword parameters carry the per-protocol knobs (``D``, ``k``,
-    ``order``, ``ell``).
-    """
-    if protocol == "skeleton":
-        return skeleton_size_bound(n, int(params.get("D", 4)))
-    if protocol == "baswana_sen":
-        return baswana_sen_size_bound(n, int(params.get("k", 3)))
-    if protocol == "additive":
-        return additive2_size_bound(n)
-    if protocol == "fibonacci":
-        order = int(params.get("order", 2))
-        eps = float(params.get("eps", 0.5))
-        ell = float(params.get("ell", 3 * order / eps + 2))
-        return fibonacci_size_bound(n, order, ell)
-    if protocol == "deterministic":
-        # Elkin-Matar-style superclustering (arXiv:1907.10895): a
-        # worst-case n(D+1)L + n bound, not an expectation.
-        return deterministic_size_bound(n, int(params.get("D", 4)))
-    raise ValueError(f"no size budget for protocol {protocol!r}")
+    spec = protocol_spec(protocol)
+    if spec.size_bound is None:
+        raise ValueError(f"no size budget for protocol {protocol!r}")
+    return spec.size_bound(n, spec.resolve(params))
 
 
 def protocol_stretch_budget(
     protocol: str, n: int, **params: float
 ) -> Tuple[float, float]:
-    """The ``(alpha, beta)`` stretch guarantee the fuzzer verifies.
+    """The ``(alpha, beta)`` stretch guarantee the fuzzer verifies, read
+    like :func:`protocol_size_budget`.  Fibonacci's is the uniform
+    envelope of Theorem 7's staged curve (checked separately via
+    :func:`theorem7_distortion_bound`)."""
+    from repro.core.protocols import protocol_spec
 
-    ``skeleton`` -> Theorem 2's distortion bound (multiplicative),
-    ``baswana_sen`` -> (2k - 1, 0), ``additive`` -> (1, 2).
-    ``fibonacci``'s guarantee is staged by distance (Theorem 7); its
-    uniform envelope here is the d = 1 stage 2^{o+1} (the per-distance
-    curve is checked via :func:`theorem7_distortion_bound`).  ``survey``
-    is not a spanner construction (raises ``ValueError``).
-    """
-    if protocol == "skeleton":
-        D = int(params.get("D", 4))
-        eps = float(params.get("eps", 0.5))
-        return skeleton_distortion_bound(n, D, eps), 0.0
-    if protocol == "baswana_sen":
-        return 2 * int(params.get("k", 3)) - 1, 0.0
-    if protocol == "additive":
-        return 1.0, 2.0
-    if protocol == "fibonacci":
-        order = int(params.get("order", 2))
-        return float(2 ** (order + 1)), 0.0
-    if protocol == "deterministic":
-        # Worst-case 4 r_{L-1} + 1 detour (arXiv:1907.10895 structure;
-        # see deterministic_stretch_bound) — purely multiplicative.
-        return deterministic_stretch_bound(n, int(params.get("D", 4))), 0.0
-    raise ValueError(f"no stretch budget for protocol {protocol!r}")
+    spec = protocol_spec(protocol)
+    if spec.stretch_bound is None:
+        raise ValueError(f"no stretch budget for protocol {protocol!r}")
+    return spec.stretch_bound(n, spec.resolve(params))
 
 
 # ----------------------------------------------------------------------

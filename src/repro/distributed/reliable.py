@@ -463,11 +463,10 @@ class ReliableNetwork:
         return [fn(self.programs, *args, **kwargs)]
 
     def _live(self, v: int) -> bool:
-        if self.fault_plan is None:
+        plan = self.fault_plan
+        if plan is None or not plan.has_crashes:
             return True
-        return not self.fault_plan.is_crashed(
-            v, self.network.stats.rounds + 1
-        )
+        return not plan.is_crashed(v, self.network.stats.rounds + 1)
 
     @property
     def in_flight(self) -> bool:

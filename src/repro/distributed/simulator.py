@@ -692,8 +692,11 @@ class Network:
         """Round 0: each node's ``setup`` (unless crashed at round 0),
         then collect what it sent."""
         plan = self.fault_plan
+        crashed = (
+            plan.is_crashed if plan is not None and plan.has_crashes else None
+        )
         for v, api, program in self._pairs:
-            if plan is None or not plan.is_crashed(v, 0):
+            if crashed is None or not crashed(v, 0):
                 program.setup(api)
         self._collect_outboxes()
         self._setup_done = True

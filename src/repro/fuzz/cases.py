@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.protocols import PROTOCOLS, protocol_spec
 from repro.graphs.generators import (
     balanced_tree,
     cycle,
@@ -41,19 +42,10 @@ __all__ = [
     "materialize",
 ]
 
-#: the six distributed protocols the fuzzer exercises (Fig. 1 order,
-#: the deterministic skeleton last), plus the churn scenario (update
-#: streams against the incremental spanner, checked by the
-#: rebuild-equivalence battery).
-FUZZ_PROTOCOLS: Tuple[str, ...] = (
-    "skeleton",
-    "baswana_sen",
-    "additive",
-    "fibonacci",
-    "survey",
-    "deterministic",
-    "churn",
-)
+#: the registered protocols the fuzzer exercises, plus the churn
+#: scenario (update streams against the incremental spanner, checked by
+#: the rebuild-equivalence battery).
+FUZZ_PROTOCOLS: Tuple[str, ...] = PROTOCOLS + ("churn",)
 
 #: host-graph recipes; weights bias toward the random families, where
 #: the interesting coin-flip interactions live.
@@ -246,28 +238,6 @@ def materialize(case: FuzzCase, graph: Optional[Graph] = None) -> FuzzCase:
     return case
 
 
-def _sample_params(
-    protocol: str, rng: Any
-) -> Dict[str, Any]:
-    if protocol == "skeleton":
-        return {"D": 4, "eps": 0.5}
-    if protocol == "baswana_sen":
-        return {"k": int(rng.choice((2, 3, 4)))}
-    if protocol == "additive":
-        return {}
-    if protocol == "fibonacci":
-        # eps-default ell (= 3o/eps + 2), so the staged Theorem 7
-        # distortion oracle is exactly the theorem's claim.
-        return {"order": 2, "eps": 0.5}
-    if protocol == "survey":
-        return {"radius": int(rng.choice((1, 2, 3)))}
-    if protocol == "deterministic":
-        return {"D": int(rng.choice((2, 3, 4, 5)))}
-    if protocol == "churn":
-        return {"k": int(rng.choice((2, 3)))}
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 def case_stream(
     seed: int,
     count: int,
@@ -325,7 +295,11 @@ def case_stream(
                 density=density,
                 graph_seed=rng.randrange(2**31),
                 protocol_seed=rng.randrange(2**31),
-                params=_sample_params(protocol, rng),
+                params=(
+                    {"k": int(rng.choice((2, 3)))}
+                    if churn is not None
+                    else protocol_spec(protocol).sample(rng)
+                ),
                 fault=fault,
                 churn=churn,
             )

@@ -50,6 +50,7 @@ import math
 import traceback
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.protocols import protocol_spec
 from repro.core.theory import (
     protocol_size_budget,
     protocol_stretch_budget,
@@ -130,7 +131,7 @@ def oracle_subgraph(ex: CaseExecution) -> Optional[str]:
 
 def oracle_size(ex: CaseExecution, size_slack: float = 1.0) -> Optional[str]:
     case = ex.case
-    if case.protocol == "survey":
+    if not protocol_spec(case.protocol).spanner:
         return None
     clean = ex.clean()
     if case.protocol == "skeleton":
@@ -161,7 +162,7 @@ def oracle_size(ex: CaseExecution, size_slack: float = 1.0) -> Optional[str]:
 
 def oracle_stretch(ex: CaseExecution) -> Optional[str]:
     case = ex.case
-    if case.protocol == "survey":
+    if not protocol_spec(case.protocol).spanner:
         return None
     sub = ex.spanner_subgraph()
     if not verify_connectivity(ex.graph, sub):
@@ -169,8 +170,8 @@ def oracle_stretch(ex: CaseExecution) -> Optional[str]:
         # spanner would only drown that signal in inf noise.
         return None
     if case.protocol == "fibonacci":
-        order = int(case.params.get("order", 2))
-        eps = float(case.params.get("eps", 0.5))
+        params = protocol_spec("fibonacci").resolve(case.params)
+        order, eps = params["order"], params["eps"]
         profile = distance_profile(ex.graph, sub)
         for d in sorted(profile):
             _, _, max_mult, _ = profile[d]
@@ -197,14 +198,14 @@ def oracle_stretch(ex: CaseExecution) -> Optional[str]:
 
 
 def oracle_connectivity(ex: CaseExecution) -> Optional[str]:
-    case = ex.case
-    if case.protocol != "survey":
+    spec = protocol_spec(ex.case.protocol)
+    if spec.spanner:
         if not verify_connectivity(ex.graph, ex.spanner_subgraph()):
             return "spanner does not preserve host connectivity"
         return None
     known = ex.clean().known
     assert known is not None
-    radius = int(case.params.get("radius", 2))
+    radius = spec.resolve(ex.case.params)["radius"]
     for v in sorted(ex.graph.vertices()):
         dist = bfs_distances(ex.graph, v, cutoff=radius - 1)
         got = known.get(v, frozenset())
@@ -315,10 +316,9 @@ def oracle_rand_vs_det(ex: CaseExecution) -> Optional[str]:
     """Head-to-head on the same host: deterministic vs randomized.
 
     Deterministic cases only.  Runs the randomized Section 2 skeleton
-    (:func:`~repro.distributed.skeleton_protocol.distributed_skeleton`)
-    on the identical host graph with the same sparsity parameter ``D``
-    and the case's protocol seed, then holds *both* constructions to
-    their own analytic size budgets
+    through its registry row on the identical host graph with the same
+    sparsity parameter ``D`` and the case's protocol seed, then holds
+    *both* constructions to their own analytic size budgets
     (:func:`~repro.core.theory.protocol_size_budget`) and to host
     connectivity.  The randomized side keeps the Lemma 6 expected-size
     caveat (zero sampled centers exempts the per-instance budget).
@@ -326,16 +326,14 @@ def oracle_rand_vs_det(ex: CaseExecution) -> Optional[str]:
     case = ex.case
     if case.protocol != "deterministic":
         return None
-    from repro.distributed.skeleton_protocol import distributed_skeleton
-
-    D = int(case.params.get("D", 4))
+    D = protocol_spec("deterministic").resolve(case.params)["D"]
     det = ex.clean()
     assert det.edges is not None
     # Lemma 1 needs D >= 4 on the randomized side; the deterministic
     # protocol is meaningful from D >= 1, so clamp the comparison run.
     rand_D = max(4, D)
-    rand = distributed_skeleton(
-        ex.graph, D=rand_D, eps=0.5, seed=case.protocol_seed
+    rand = protocol_spec("skeleton").run(
+        ex.graph, seed=case.protocol_seed, D=rand_D
     )
     rand_sub = ex.graph.edge_subgraph(tuple(sorted(rand.edges)))
     if not verify_connectivity(ex.graph, rand_sub):
@@ -354,9 +352,7 @@ def oracle_rand_vs_det(ex: CaseExecution) -> Optional[str]:
     sampled_nothing = (
         isinstance(counts, list) and counts and counts[0] == 0
     )
-    rand_budget = protocol_size_budget(
-        "skeleton", ex.graph.n, D=rand_D, eps=0.5
-    )
+    rand_budget = protocol_size_budget("skeleton", ex.graph.n, D=rand_D)
     if not sampled_nothing and len(rand.edges) > math.ceil(rand_budget):
         return (
             f"randomized size {len(rand.edges)} exceeds its budget "

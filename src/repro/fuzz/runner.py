@@ -10,8 +10,8 @@ battery (:mod:`repro.fuzz.oracles`) compares:
 * ``faulty()``   — the same run under the case's :class:`~repro.
   distributed.faults.FaultPlan` with ``reliable=True`` (the adapter
   must reproduce the fault-free output exactly);
-* ``reference()`` — the sequential reference construction
-  (:mod:`repro.core` / :mod:`repro.baselines`) under shared randomness.
+* ``reference()`` — the sequential mirror named by the protocol's
+  registry row (:mod:`repro.core.protocols`), under shared randomness.
 
 Each execution is cached, so an oracle battery runs every protocol at
 most four times per case regardless of how many oracles consult it.
@@ -22,27 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
-from repro.baselines.additive_spanner import additive2_spanner
-from repro.baselines.baswana_sen import baswana_sen_spanner
-from repro.baselines.deterministic_skeleton import sequential_deterministic
-from repro.core.fibonacci import build_fibonacci_spanner
-from repro.core.skeleton import build_skeleton
-from repro.distributed.additive_protocol import distributed_additive2
-from repro.distributed.baswana_sen_protocol import distributed_baswana_sen
-from repro.distributed.deterministic_protocol import (
-    distributed_deterministic,
-)
+from repro.core.protocols import protocol_spec
 from repro.distributed.faults import FaultPlan
-from repro.distributed.fibonacci_protocol import (
-    distributed_fibonacci_spanner,
-)
-from repro.distributed.skeleton_protocol import distributed_skeleton
-from repro.distributed.survey_protocol import neighborhood_survey
 from repro.fuzz.cases import FuzzCase, build_case_graph
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.obs.trace import Obs, TraceRecorder
 from repro.spanner.spanner import Spanner
-from repro.util.rng import make_prf
 
 __all__ = ["CaseExecution", "RunResult", "build_fault_plan"]
 
@@ -66,10 +51,6 @@ class RunResult:
         return len(self.edges) if self.edges is not None else 0
 
 
-def _opt_int(params: Dict[str, Any], key: str) -> Optional[int]:
-    return int(params[key]) if key in params else None
-
-
 def build_fault_plan(case: FuzzCase) -> Optional[FaultPlan]:
     """The case's :class:`FaultPlan` (``None`` for clean cases)."""
     if case.fault is None:
@@ -91,110 +72,30 @@ def _run_distributed(
     reliable: bool,
 ) -> RunResult:
     recorder = TraceRecorder()
-    obs = Obs(recorder=recorder)
-    params = case.params
-    seed = case.protocol_seed
-    common: Dict[str, Any] = {
-        "seed": seed,
-        "fault_plan": fault_plan,
-        "reliable": reliable,
-        "obs": obs,
-    }
-    spanner: Optional[Spanner] = None
-    known: Optional[Dict[int, FrozenSet[Edge]]] = None
-    if case.protocol == "skeleton":
-        spanner = distributed_skeleton(
-            graph,
-            D=int(params.get("D", 4)),
-            eps=float(params.get("eps", 0.5)),
-            **common,
-        )
-    elif case.protocol == "baswana_sen":
-        spanner = distributed_baswana_sen(
-            graph, int(params.get("k", 3)), **common
-        )
-    elif case.protocol == "additive":
-        spanner = distributed_additive2(
-            graph, threshold=_opt_int(params, "threshold"), **common
-        )
-    elif case.protocol == "fibonacci":
-        spanner = distributed_fibonacci_spanner(
-            graph,
-            order=int(params.get("order", 2)),
-            eps=float(params.get("eps", 0.5)),
-            ell=_opt_int(params, "ell"),
-            **common,
-        )
-    elif case.protocol == "deterministic":
-        spanner = distributed_deterministic(
-            graph, D=int(params.get("D", 4)), **common
-        )
-    elif case.protocol == "survey":
-        common.pop("seed")
-        raw, _stats = neighborhood_survey(
-            graph, int(params.get("radius", 2)), **common
-        )
-        known = {
-            v: frozenset(canonical_edge(a, b) for a, b in raw[v])
-            for v in sorted(raw)
-        }
-    else:
-        raise ValueError(f"unknown protocol {case.protocol!r}")
-    if spanner is not None:
+    spec = protocol_spec(case.protocol)
+    result = spec.run(
+        graph,
+        seed=case.protocol_seed,
+        obs=Obs(recorder=recorder),
+        fault_plan=fault_plan,
+        reliable=reliable,
+        **case.params,
+    )
+    if spec.spanner:
         return RunResult(
-            edges=frozenset(spanner.edges),
+            edges=frozenset(result.edges),
             known=None,
-            metadata=dict(spanner.metadata),
+            metadata=dict(result.metadata),
             trace=recorder.dumps(),
         )
+    raw, _stats = result
+    known = {
+        v: frozenset(canonical_edge(a, b) for a, b in raw[v])
+        for v in sorted(raw)
+    }
     return RunResult(
         edges=None, known=known, metadata={}, trace=recorder.dumps()
     )
-
-
-def _run_reference(case: FuzzCase, graph: Graph) -> Optional[Spanner]:
-    """The sequential reference construction.
-
-    ``skeleton`` drives :func:`build_skeleton` with the same PRF as the
-    protocol (identical cluster evolution); ``fibonacci`` passes the
-    same seed, so both sides sample the identical level hierarchy.
-    ``baswana_sen``/``additive`` draw their own randomness (``ensure_rng``
-    vs the protocol's PRF), so their differential check compares sizes
-    within a band rather than demanding equality.  ``deterministic``
-    draws no randomness at all, so the differential oracle demands the
-    *exact* edge set and telemetry.  ``survey`` has no sequential
-    spanner (its reference is the exact BFS neighborhood, computed
-    directly by the coverage oracle).
-    """
-    params = case.params
-    seed = case.protocol_seed
-    if case.protocol == "skeleton":
-        return build_skeleton(
-            graph,
-            D=int(params.get("D", 4)),
-            eps=float(params.get("eps", 0.5)),
-            prf=make_prf(seed),
-        )
-    if case.protocol == "baswana_sen":
-        return baswana_sen_spanner(graph, int(params.get("k", 3)), seed=seed)
-    if case.protocol == "additive":
-        return additive2_spanner(
-            graph, threshold=_opt_int(params, "threshold"), seed=seed
-        )
-    if case.protocol == "fibonacci":
-        return build_fibonacci_spanner(
-            graph,
-            order=int(params.get("order", 2)),
-            eps=float(params.get("eps", 0.5)),
-            ell=_opt_int(params, "ell"),
-            seed=seed,
-        )
-    if case.protocol == "deterministic":
-        edges, info = sequential_deterministic(
-            graph, D=int(params.get("D", 4))
-        )
-        return Spanner(graph, edges, info)
-    return None
 
 
 @dataclass
@@ -240,7 +141,9 @@ class CaseExecution:
 
     def reference(self) -> Optional[Spanner]:
         if not self._reference_done:
-            self._reference = _run_reference(self.case, self.graph)
+            self._reference = protocol_spec(self.case.protocol).run_mirror(
+                self.graph, seed=self.case.protocol_seed, **self.case.params
+            )
             self._reference_done = True
         return self._reference
 

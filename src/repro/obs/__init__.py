@@ -18,7 +18,8 @@ actually go and makes two runs comparable event by event:
 * :mod:`repro.obs.profile` — per-phase wall-clock attribution with an
   opt-in sampling timer;
 * :mod:`repro.obs.runners` — ``run_traced(protocol, graph, ...)``, the
-  uniform driver used by the CLI, the tests and benchmark E21.
+  uniform driver used by the CLI, the tests and benchmark E21; it reads
+  the protocol registry, :mod:`repro.core.protocols`.
 
 See ``docs/observability.md`` for the event schema and the phase
 taxonomy of all six protocols.
@@ -35,7 +36,7 @@ from repro.obs.replay import (
     reconstruct_stats,
     summarize,
 )
-from repro.obs.runners import PROTOCOLS, run_traced
+from repro.obs.runners import run_traced
 from repro.obs.trace import (
     Obs,
     TraceRecorder,
@@ -52,7 +53,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Obs",
-    "PROTOCOLS",
     "PhaseProfiler",
     "PhaseSummary",
     "PhaseTiming",

@@ -4,8 +4,9 @@
 entry points (whose signatures and return shapes differ) to a single
 ``(result, NetworkStats)`` pair — the shared driver behind the
 ``python -m repro trace record`` CLI, the determinism/replay tests and
-benchmark E21.  Protocol imports are deferred so importing
-:mod:`repro.obs` never drags in the protocol modules.
+benchmark E21.  It reads the protocol registry
+(:mod:`repro.core.protocols`) when called, so importing :mod:`repro.obs`
+never drags in the protocol modules.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from typing import Any, Optional, Tuple
 
 from repro.graphs.graph import Graph
 
-__all__ = ["PROTOCOLS", "run_traced"]
-
-#: the six traced protocols, in Fig. 1 order (deterministic last).
-PROTOCOLS = (
-    "skeleton",
-    "baswana_sen",
-    "additive",
-    "fibonacci",
-    "survey",
-    "deterministic",
-)
+__all__ = ["run_traced"]
 
 
 def run_traced(
@@ -39,64 +30,24 @@ def run_traced(
     """Run one protocol under observation; returns ``(result, stats)``.
 
     ``result`` is the protocol's natural output (a
-    :class:`~repro.spanner.spanner.Spanner` for the four spanner
-    builders, the ``known`` edge map for ``survey``); ``stats`` is the
-    aggregated :class:`~repro.distributed.simulator.NetworkStats` that
+    :class:`~repro.spanner.spanner.Spanner` for the spanner builders,
+    the ``known`` edge map for ``survey``); ``stats`` is the aggregated
+    :class:`~repro.distributed.simulator.NetworkStats` that
     :func:`repro.obs.replay.reconstruct_stats` must reproduce.
+    ``kwargs`` go to :meth:`~repro.core.protocols.ProtocolSpec.run`.
     """
-    common = dict(
-        obs=obs, reliable=reliable, fault_plan=fault_plan, **kwargs
+    from repro.core.protocols import protocol_spec
+
+    spec = protocol_spec(protocol)
+    result = spec.run(
+        graph,
+        seed=seed,
+        obs=obs,
+        reliable=reliable,
+        fault_plan=fault_plan,
+        **kwargs,
     )
-    if protocol == "skeleton":
-        from repro.distributed.skeleton_protocol import distributed_skeleton
-
-        spanner = distributed_skeleton(graph, seed=seed, **common)
-        return spanner, spanner.metadata["network_stats"]
-    if protocol == "baswana_sen":
-        from repro.distributed.baswana_sen_protocol import (
-            distributed_baswana_sen,
-        )
-
-        k = kwargs.pop("k", 3)
-        common = dict(
-            obs=obs, reliable=reliable, fault_plan=fault_plan, **kwargs
-        )
-        spanner = distributed_baswana_sen(graph, k, seed=seed, **common)
-        return spanner, spanner.metadata["network_stats"]
-    if protocol == "additive":
-        from repro.distributed.additive_protocol import distributed_additive2
-
-        spanner = distributed_additive2(graph, seed=seed, **common)
-        return spanner, spanner.metadata["network_stats"]
-    if protocol == "fibonacci":
-        from repro.distributed.fibonacci_protocol import (
-            distributed_fibonacci_spanner,
-        )
-
-        spanner = distributed_fibonacci_spanner(
-            graph, order=2, seed=seed, **common
-        )
-        return spanner, spanner.metadata["network_stats"]
-    if protocol == "deterministic":
-        from repro.distributed.deterministic_protocol import (
-            distributed_deterministic,
-        )
-
-        D = kwargs.pop("D", 4)
-        common = dict(
-            obs=obs, reliable=reliable, fault_plan=fault_plan, **kwargs
-        )
-        spanner = distributed_deterministic(graph, D=D, seed=seed, **common)
-        return spanner, spanner.metadata["network_stats"]
-    if protocol == "survey":
-        from repro.distributed.survey_protocol import neighborhood_survey
-
-        radius = kwargs.pop("radius", 3)
-        common = dict(
-            obs=obs, reliable=reliable, fault_plan=fault_plan, **kwargs
-        )
-        known, stats = neighborhood_survey(graph, radius, **common)
-        return known, stats
-    raise ValueError(
-        f"unknown protocol {protocol!r}; choose from {PROTOCOLS}"
-    )
+    if spec.spanner:
+        return result, result.metadata["network_stats"]
+    known, stats = result
+    return known, stats

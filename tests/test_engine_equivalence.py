@@ -15,9 +15,10 @@ from typing import Any
 
 import pytest
 
+from repro.core.protocols import PROTOCOLS
 from repro.distributed import FaultPlan
 from repro.graphs import erdos_renyi_gnp
-from repro.obs import Obs, PROTOCOLS, TraceRecorder, run_traced
+from repro.obs import Obs, TraceRecorder, run_traced
 
 
 def _host() -> Any:

@@ -18,6 +18,7 @@ import io
 import pytest
 
 from repro.analysis.report import phase_budget_report, render_phase_budget
+from repro.core.protocols import PROTOCOLS
 from repro.distributed import FaultEvent, FaultPlan
 from repro.distributed.faults import DROP
 from repro.distributed.simulator import NetworkStats
@@ -25,7 +26,6 @@ from repro.graphs import erdos_renyi_gnp
 from repro.obs import (
     MetricsRegistry,
     Obs,
-    PROTOCOLS,
     PhaseProfiler,
     TraceRecorder,
     dumps_events,

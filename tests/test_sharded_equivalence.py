@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
+from repro.core.protocols import PROTOCOLS
 from repro.distributed import FaultPlan
 from repro.distributed.reliable import build_network
 from repro.distributed.sharded import (
@@ -35,7 +36,7 @@ from repro.distributed.sharded import (
 from repro.distributed.simulator import Api, Network, NodeProgram
 from repro.graphs import erdos_renyi_gnp
 from repro.graphs.generators import path
-from repro.obs import Obs, PROTOCOLS, TraceRecorder, run_traced
+from repro.obs import Obs, TraceRecorder, run_traced
 
 SHARD_COUNTS = (1, 2, 4)
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.protocols import PROTOCOLS
 from repro.distributed import Api, Network, NetworkStats, NodeProgram, ProtocolError
 from repro.graphs import path, star
-from repro.obs import PROTOCOLS, Obs, TraceRecorder
+from repro.obs import Obs, TraceRecorder
 
 
 class Echo(NodeProgram):
