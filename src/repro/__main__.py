@@ -19,9 +19,8 @@ Trace tooling (see ``docs/observability.md``)::
 
 Static analysis (see ``docs/static_analysis.md``)::
 
-    python -m repro lint [paths] [--project] [--select CODES]
-                         [--format {text,json}] [--list-rules]
-                         [--report-unused-suppressions]
+    python -m repro lint [paths] [--select CODES] [--format {text,json}]
+                         [--list-rules] [--report-unused-suppressions]
 
 Benchmarks (see ``docs/performance.md``)::
 
@@ -223,9 +222,9 @@ _USAGE = """\
 usage: python -m repro [subcommand] ...
 
 subcommands:
-  lint [paths] [--project] [--select CODES] [--format {text,json}]
-        run the repro-lint static analyzer (REP001-REP005 protocol
-        invariants; --project adds whole-program rules REP010-REP013;
+  lint [paths] [--select CODES] [--format {text,json}]
+        run the repro-lint whole-program static analyzer (protocol
+        invariants REP001-REP005, cross-module rules REP010-REP013;
         exit 1 on findings) -- docs/static_analysis.md
   trace {record,summary,diff,filter} ...
         record and inspect simulator traces -- docs/observability.md

@@ -1,8 +1,10 @@
-"""repro-lint: AST-based checker for the repo's protocol invariants.
+"""repro-lint: whole-program checker for the repo's protocol invariants.
 
 The paper's guarantees only hold if the implementation plays by the
 CONGEST-style rules the simulator assumes.  Each rule encodes one such
-invariant with a stable ``REP0xx`` code:
+invariant with a stable ``REP0xx`` code.  Every run first builds a
+whole-program context (module-import graph, symbol tables, call graph —
+:mod:`repro.lint.project`) and runs all rules on it:
 
 ====== ===================== =============================================
 code   name                  invariant
@@ -12,20 +14,13 @@ REP002 simulation-honesty    nodes talk only through send/recv
 REP003 message-discipline    payloads ordered + word-countable
 REP004 obs-guard             obs calls behind ``if obs is not None``
 REP005 iteration-order       no bare-set iteration where order escapes
-====== ===================== =============================================
-
-``--project`` mode builds a whole-program context (module-import
-graph, symbol tables, call graph — :mod:`repro.lint.project`) and adds
-the cross-module rule families:
-
-====== ===================== =============================================
 REP010 determinism-taint     no helper-call path to clock/entropy/set-order
 REP011 layering              imports follow the declared layer DAG
 REP012 congest-payload-bound payloads bounded by a constant word count
 REP013 asyncio-safety        serving/ coroutines don't block/drop/race
 ====== ===================== =============================================
 
-Run it as ``python -m repro lint [--project] [paths]``; see
+Run it as ``python -m repro lint [paths]``; see
 ``docs/static_analysis.md`` for the full catalog and suppression syntax.
 """
 
@@ -33,7 +28,6 @@ from repro.lint.asyncsafe import AsyncSafetyRule
 from repro.lint.base import (
     ALGORITHMIC_PACKAGES,
     FileContext,
-    ProjectRule,
     Rule,
     make_context,
 )
@@ -51,19 +45,11 @@ from repro.lint.layering import LAYER_DAG, LayeringRule
 from repro.lint.messages import MessageDisciplineRule, static_payload_words
 from repro.lint.obsguard import ObsGuardRule
 from repro.lint.project import ProjectContext, build_project
-from repro.lint.runner import (
-    ALL_RULES,
-    PROJECT_RULES,
-    lint_file,
-    lint_paths,
-    lint_project,
-    main,
-)
+from repro.lint.runner import RULES, lint_paths, main
 from repro.lint.taint import TaintRule
 
 __all__ = [
     "ALGORITHMIC_PACKAGES",
-    "ALL_RULES",
     "AsyncSafetyRule",
     "CongestPayloadRule",
     "Diagnostic",
@@ -76,16 +62,13 @@ __all__ = [
     "LayeringRule",
     "MessageDisciplineRule",
     "ObsGuardRule",
-    "PROJECT_RULES",
     "ProjectContext",
-    "ProjectRule",
+    "RULES",
     "Rule",
     "Suppressions",
     "TaintRule",
     "build_project",
-    "lint_file",
     "lint_paths",
-    "lint_project",
     "main",
     "make_context",
     "parse_suppressions",

@@ -3,8 +3,8 @@
 The query tier (``serving/``) is the one place the repo runs an event
 loop, and its determinism contract (seeded loadgen streams, replayable
 cache-hit counts) only holds if the loop actually stays single-threaded
-and non-blocking.  Three failure modes, all invisible to the per-file
-rules:
+and non-blocking.  Three failure modes, none of which the other rules
+look for:
 
 * **blocking calls inside a coroutine** — ``time.sleep``, sync
   file/socket/subprocess IO — stall every connection on the loop and
@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.base import ProjectRule
+from repro.lint.base import Rule
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.project import (
     ClassInfo,
@@ -62,13 +62,7 @@ _BLOCKING_CALLS = frozenset(
 )
 
 
-def _in_scope(module: ModuleInfo) -> bool:
-    if module.package is None:
-        return True  # loose fixture files exercise the rule directly
-    return module.package == "serving"
-
-
-class AsyncSafetyRule(ProjectRule):
+class AsyncSafetyRule(Rule):
     code = "REP013"
     name = "asyncio-safety"
     summary = (
@@ -77,17 +71,20 @@ class AsyncSafetyRule(ProjectRule):
         "the drain loop"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for module in project.sorted_modules():
-            if not _in_scope(module):
-                continue
-            for fn in module.all_functions():
-                if fn.is_async:
-                    yield from self._check_coroutine(project, module, fn)
-            for cls_name in sorted(module.classes):
-                yield from self._check_shared_state(
-                    module, module.classes[cls_name]
-                )
+    def applies(self, module: ModuleInfo) -> bool:
+        # Loose fixture files (no package) exercise the rule directly.
+        return module.package in (None, "serving")
+
+    def check_module(
+        self, project: ProjectContext, module: ModuleInfo
+    ) -> Iterator[Diagnostic]:
+        for fn in module.all_functions():
+            if fn.is_async:
+                yield from self._check_coroutine(project, module, fn)
+        for cls_name in sorted(module.classes):
+            yield from self._check_shared_state(
+                module, module.classes[cls_name]
+            )
 
     # -- blocking calls + dropped coroutines -----------------------------
     def _check_coroutine(

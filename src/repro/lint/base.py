@@ -1,11 +1,11 @@
 """Shared infrastructure for repro-lint rules.
 
-Every rule is an AST pass over one file, scoped by where the file lives
-inside the ``repro`` package (the paper's correctness arguments only
-constrain the algorithmic core, not e.g. ``analysis/`` plotting code).
-Files *outside* any ``repro`` package — the unit-test fixtures — are
-treated as in-scope for every rule, so fixtures exercise rules without
-having to fake a package layout.
+Every rule runs over the whole-program context, and most are scoped by
+where a file lives inside the ``repro`` package (the paper's
+correctness arguments only constrain the algorithmic core, not e.g.
+``analysis/`` plotting code).  Files *outside* any ``repro`` package —
+the unit-test fixtures — are treated as in-scope for every rule, so
+fixtures exercise rules without having to fake a package layout.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from typing import TYPE_CHECKING, FrozenSet, Iterator, List, Optional, Tuple
 from repro.lint.diagnostics import Diagnostic, Suppressions, parse_suppressions
 
 if TYPE_CHECKING:
-    from repro.lint.project import ProjectContext
+    from repro.lint.project import ModuleInfo, ProjectContext
 
 __all__ = [
     "ALGORITHMIC_PACKAGES",
     "FileContext",
-    "ProjectRule",
     "Rule",
     "attribute_chain",
     "make_context",
@@ -124,37 +123,14 @@ def make_context(path: Path, display_path: Optional[str] = None) -> FileContext:
 
 
 class Rule:
-    """One lint rule: a stable code plus an AST check over a file."""
+    """One lint rule: a stable code plus a check over the whole program.
 
-    code: str = "REP000"
-    name: str = ""
-    #: one-line summary for ``--list-rules`` and the docs catalog.
-    summary: str = ""
-
-    def applies(self, ctx: FileContext) -> bool:
-        return True
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def diag(self, ctx: FileContext, node: ast.AST, message: str) -> Diagnostic:
-        return Diagnostic(
-            path=ctx.display_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            code=self.code,
-            message=message,
-        )
-
-
-class ProjectRule:
-    """One whole-program rule: a stable code plus a project-wide check.
-
-    Unlike :class:`Rule`, a project rule sees the full
-    :class:`~repro.lint.project.ProjectContext` (module graph, symbol
-    tables, call resolver) and anchors each diagnostic in whichever
-    module it convicts.  Project rules only run under
-    ``repro lint --project``.
+    Every rule sees the full :class:`~repro.lint.project.ProjectContext`
+    (module graph, symbol tables, call resolver) and anchors each
+    diagnostic in whichever module it convicts.  Most rules judge one
+    module at a time: they say which modules they cover in
+    :meth:`applies` and check each in :meth:`check_module`.  A rule
+    that needs the whole graph at once overrides :meth:`check`.
     """
 
     code: str = "REP000"
@@ -162,7 +138,17 @@ class ProjectRule:
     #: one-line summary for ``--list-rules`` and the docs catalog.
     summary: str = ""
 
+    def applies(self, module: "ModuleInfo") -> bool:
+        return True
+
     def check(self, project: "ProjectContext") -> Iterator[Diagnostic]:
+        for module in project.sorted_modules():
+            if self.applies(module):
+                yield from self.check_module(project, module)
+
+    def check_module(
+        self, project: "ProjectContext", module: "ModuleInfo"
+    ) -> Iterator[Diagnostic]:
         raise NotImplementedError
 
     def diag(self, ctx: FileContext, node: ast.AST, message: str) -> Diagnostic:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.base import ProjectRule
+from repro.lint.base import Rule
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.messages import _payload_args, static_payload_words
 from repro.lint.project import (
@@ -86,7 +86,7 @@ _SCALAR_CALLS = frozenset(
 _MAX_DEPTH = 12
 
 
-class CongestPayloadRule(ProjectRule):
+class CongestPayloadRule(Rule):
     code = "REP012"
     name = "congest-payload-bound"
     summary = (
@@ -95,12 +95,14 @@ class CongestPayloadRule(ProjectRule):
         "PAPER.md §2 CONGEST model)"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for module in project.sorted_modules():
-            if not module.ctx.is_protocol_file:
-                continue
-            for fn in module.all_functions():
-                yield from self._check_function(project, module, fn)
+    def applies(self, module: ModuleInfo) -> bool:
+        return module.ctx.is_protocol_file
+
+    def check_module(
+        self, project: ProjectContext, module: ModuleInfo
+    ) -> Iterator[Diagnostic]:
+        for fn in module.all_functions():
+            yield from self._check_function(project, module, fn)
 
     def _check_function(
         self,

@@ -15,9 +15,14 @@ statically in ``core/``, ``distributed/``, ``graphs/`` and ``spanner/``:
 * ``from random import ...`` in any form;
 * wall-clock reads ``time.time()`` / ``time.time_ns()`` (round counting
   is the model's only clock; ``perf_counter`` is allowed for profiling);
-* ``os.urandom(...)``;
+* OS entropy: ``os.urandom(...)``, ``secrets.*``, ``uuid.uuid1()`` /
+  ``uuid.uuid4()``;
 * ``numpy.random`` calls, except explicitly seeded ``default_rng(seed)``
   / ``RandomState(seed)`` / ``SeedSequence(seed)`` constructions.
+
+:func:`source_advice` is the one definition of a nondeterminism source:
+REP001 applies it to direct calls, REP010 (:mod:`repro.lint.taint`) to
+calls that reach a source through helpers in other modules.
 
 Type annotations such as ``rng: random.Random`` are *not* calls and are
 deliberately permitted.
@@ -26,37 +31,63 @@ deliberately permitted.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator
+from typing import Iterator, Optional
 
-from repro.lint.base import (
-    ALGORITHMIC_PACKAGES,
-    FileContext,
-    Rule,
-    attribute_chain,
-)
+from repro.lint.base import ALGORITHMIC_PACKAGES, FileContext, Rule
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.project import ModuleInfo, ProjectContext
 
-__all__ = ["DeterminismRule"]
+__all__ = ["DeterminismRule", "source_advice"]
 
 #: numpy.random entry points that are fine *when given a seed argument*.
 _SEEDED_CONSTRUCTORS = frozenset(
     {"default_rng", "RandomState", "SeedSequence", "Generator"}
 )
 _BANNED_TIME = frozenset({"time", "time_ns"})
+#: uuid constructors that draw OS entropy or read the clock.
+_UUID_DRAWS = frozenset({"uuid.uuid1", "uuid.uuid4"})
 
 
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map bound names to dotted module paths for every ``import`` stmt."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname is not None:
-                    aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    aliases[root] = root
-    return aliases
+def source_advice(dotted: str, call: ast.Call) -> Optional[str]:
+    """REP001's message if calling ``dotted`` is a nondeterminism source.
+
+    ``dotted`` is the external call target after alias resolution
+    (``time.time``, ``numpy.random.rand``); ``call`` supplies the
+    arguments that make a numpy constructor seeded.  Returns ``None``
+    for every call that is not a source.
+    """
+    if dotted.startswith("random."):
+        return (
+            f"call to {dotted}(); use repro.util.rng "
+            "(ensure_rng/make_prf/spawn_rng) so every draw is seeded "
+            "and replayable"
+        )
+    if dotted in ("time.time", "time.time_ns"):
+        return (
+            f"wall-clock read {dotted}(); synchronous rounds are the "
+            "model's only clock (use the round counter, or "
+            "perf_counter in obs/ profiling code)"
+        )
+    if dotted == "os.urandom":
+        return (
+            "os.urandom() draws OS entropy; derive bytes from the run "
+            "seed via repro.util.rng instead"
+        )
+    if dotted.startswith("secrets.") or dotted in _UUID_DRAWS:
+        return (
+            f"{dotted}() draws OS entropy; derive tokens and ids from "
+            "the run seed via repro.util.rng instead"
+        )
+    if dotted.startswith("numpy.random."):
+        fn = dotted.rsplit(".", 1)[1]
+        if fn in _SEEDED_CONSTRUCTORS and (call.args or call.keywords):
+            return None
+        return (
+            f"unseeded numpy.random call {dotted}(); construct an "
+            "explicitly seeded generator (numpy.random.default_rng("
+            "seed)) with a seed threaded from repro.util.rng"
+        )
+    return None
 
 
 class DeterminismRule(Rule):
@@ -67,16 +98,21 @@ class DeterminismRule(Rule):
         "through repro.util.rng (shared-randomness model, Sect. 2.1/4.1)"
     )
 
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.in_packages(ALGORITHMIC_PACKAGES)
+    def applies(self, module: ModuleInfo) -> bool:
+        return module.ctx.in_packages(ALGORITHMIC_PACKAGES)
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        aliases = _import_aliases(ctx.tree)
+    def check_module(
+        self, project: ProjectContext, module: ModuleInfo
+    ) -> Iterator[Diagnostic]:
+        ctx = module.ctx
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
                 yield from self._check_import_from(ctx, node)
             elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node, aliases)
+                dotted = project.resolve_external(module, node.func)
+                advice = source_advice(dotted, node) if dotted else None
+                if advice is not None:
+                    yield self.diag(ctx, node, advice)
 
     def _check_import_from(
         self, ctx: FileContext, node: ast.ImportFrom
@@ -114,49 +150,3 @@ class DeterminismRule(Rule):
                     "os.urandom import; entropy must come from the run seed "
                     "via repro.util.rng",
                 )
-
-    def _check_call(
-        self, ctx: FileContext, node: ast.Call, aliases: Dict[str, str]
-    ) -> Iterator[Diagnostic]:
-        chain = attribute_chain(node.func)
-        if chain is None:
-            return
-        root, attrs = chain
-        module = aliases.get(root)
-        if module is None or not attrs:
-            return
-        dotted = ".".join([module] + attrs)
-        if dotted.startswith("random."):
-            yield self.diag(
-                ctx,
-                node,
-                f"call to {dotted}(); use repro.util.rng "
-                "(ensure_rng/make_prf/spawn_rng) so every draw is seeded "
-                "and replayable",
-            )
-        elif dotted in ("time.time", "time.time_ns"):
-            yield self.diag(
-                ctx,
-                node,
-                f"wall-clock read {dotted}(); synchronous rounds are the "
-                "model's only clock (use the round counter, or "
-                "perf_counter in obs/ profiling code)",
-            )
-        elif dotted == "os.urandom":
-            yield self.diag(
-                ctx,
-                node,
-                "os.urandom() draws OS entropy; derive bytes from the run "
-                "seed via repro.util.rng instead",
-            )
-        elif dotted.startswith("numpy.random."):
-            fn = attrs[-1]
-            if fn in _SEEDED_CONSTRUCTORS and (node.args or node.keywords):
-                return
-            yield self.diag(
-                ctx,
-                node,
-                f"unseeded numpy.random call {dotted}(); construct an "
-                "explicitly seeded generator (numpy.random.default_rng("
-                "seed)) with a seed threaded from repro.util.rng",
-            )

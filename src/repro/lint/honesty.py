@@ -30,10 +30,11 @@ not mid-protocol peeking.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Union
+from typing import Iterator, List
 
 from repro.lint.base import FileContext, Rule, attribute_chain
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.project import ModuleInfo, ProjectContext
 
 __all__ = ["HonestyRule"]
 
@@ -97,12 +98,14 @@ class HonestyRule(Rule):
         "(CONGEST accounting, Thm. 2)"
     )
 
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.is_protocol_file
+    def applies(self, module: ModuleInfo) -> bool:
+        return module.ctx.is_protocol_file
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for cls in _node_program_classes(ctx.tree):
-            yield from self._check_class(ctx, cls)
+    def check_module(
+        self, project: ProjectContext, module: ModuleInfo
+    ) -> Iterator[Diagnostic]:
+        for cls in _node_program_classes(module.ctx.tree):
+            yield from self._check_class(module.ctx, cls)
 
     def _check_class(
         self, ctx: FileContext, cls: ast.ClassDef

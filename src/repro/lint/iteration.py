@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.base import ALGORITHMIC_PACKAGES, FileContext, Rule
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.project import ModuleInfo, ProjectContext
 
 __all__ = ["IterationOrderRule"]
 
@@ -193,9 +194,9 @@ def _looks_like_set(
 def _walk_within(fn: ast.AST) -> Iterator[ast.AST]:
     """Walk ``fn``'s body without crossing into nested function scopes.
 
-    Nested functions get their own scope pass from :meth:`check`, so
-    descending here would double-report their loops under the wrong
-    scope."""
+    Nested functions get their own scope pass from
+    :meth:`IterationOrderRule.check_module`, so descending here would
+    double-report their loops under the wrong scope."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
     while stack:
         node = stack.pop()
@@ -214,10 +215,13 @@ class IterationOrderRule(Rule):
         "edge selections are reproducible"
     )
 
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.in_packages(ALGORITHMIC_PACKAGES)
+    def applies(self, module: ModuleInfo) -> bool:
+        return module.ctx.in_packages(ALGORITHMIC_PACKAGES)
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check_module(
+        self, project: ProjectContext, module: ModuleInfo
+    ) -> Iterator[Diagnostic]:
+        ctx = module.ctx
         # Map each function to the set-typed self-attrs of its class.
         class_attrs: Dict[ast.AST, Set[str]] = {}
         for node in ast.walk(ctx.tree):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
-from repro.lint.base import ProjectRule
+from repro.lint.base import Rule
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.project import ModuleInfo, ProjectContext
 
@@ -93,7 +93,7 @@ def _package_of(module: ModuleInfo) -> Optional[str]:
     return module.package
 
 
-class LayeringRule(ProjectRule):
+class LayeringRule(Rule):
     code = "REP011"
     name = "layering"
     summary = (
@@ -103,11 +103,10 @@ class LayeringRule(ProjectRule):
     )
 
     def check(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for module in project.sorted_modules():
-            yield from self._check_module(project, module)
+        yield from super().check(project)
         yield from self._check_cycles(project)
 
-    def _check_module(
+    def check_module(
         self, project: ProjectContext, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         package = _package_of(module)

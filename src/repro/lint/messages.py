@@ -36,6 +36,7 @@ from typing import Iterator, List, Optional
 
 from repro.lint.base import FileContext, Rule
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.project import ModuleInfo, ProjectContext
 
 __all__ = ["MessageDisciplineRule", "static_payload_words"]
 
@@ -91,15 +92,17 @@ class MessageDisciplineRule(Rule):
         "generator payloads (trace fingerprints, util/words accounting)"
     )
 
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.in_packages(frozenset({"distributed"}))
+    def applies(self, module: ModuleInfo) -> bool:
+        return module.ctx.in_packages(frozenset({"distributed"}))
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+    def check_module(
+        self, project: ProjectContext, module: ModuleInfo
+    ) -> Iterator[Diagnostic]:
+        for node in ast.walk(module.ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             for payload in _payload_args(node):
-                yield from self._check_payload(ctx, payload)
+                yield from self._check_payload(module.ctx, payload)
 
     def _check_payload(
         self, ctx: FileContext, payload: ast.expr

@@ -36,6 +36,7 @@ from typing import FrozenSet, Iterator, List, Tuple
 
 from repro.lint.base import ALGORITHMIC_PACKAGES, FileContext, Rule
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.project import ModuleInfo, ProjectContext
 
 __all__ = ["ObsGuardRule"]
 
@@ -98,13 +99,15 @@ class ObsGuardRule(Rule):
         "contract, benchmark E21)"
     )
 
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.in_packages(ALGORITHMIC_PACKAGES)
+    def applies(self, module: ModuleInfo) -> bool:
+        return module.ctx.in_packages(ALGORITHMIC_PACKAGES)
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check_module(
+        self, project: ProjectContext, module: ModuleInfo
+    ) -> Iterator[Diagnostic]:
         found: List[Diagnostic] = []
-        for node in ctx.tree.body:
-            self._scan_stmt(ctx, node, frozenset(), found)
+        for node in module.ctx.tree.body:
+            self._scan_stmt(module.ctx, node, frozenset(), found)
         yield from found
 
     # -- statement-level guard tracking ---------------------------------

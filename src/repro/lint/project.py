@@ -1,9 +1,9 @@
-"""Whole-program analysis context for repro-lint (``--project`` mode).
+"""Whole-program analysis context: the one engine every rule runs on.
 
-The per-file rules (REP001-REP005) see one AST at a time, so a
-wall-clock read or an unbounded payload hidden *one helper call away*
-is invisible to them.  This module builds the three structures the
-project-level rule families (REP010-REP013) share:
+A rule that saw one AST at a time could not find a wall-clock read or
+an unbounded payload hidden *one helper call away*.  This module
+discovers the files to lint and builds the three structures every rule
+(REP001-REP005, REP010-REP013) reads:
 
 * a **module map** — every ``.py`` file under the linted roots, keyed
   by dotted module name (``src/repro/util/rng.py`` -> ``repro.util.rng``;
@@ -33,7 +33,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.lint.base import FileContext, make_context
+from repro.lint.base import FileContext, attribute_chain, make_context
 
 __all__ = [
     "FunctionInfo",
@@ -48,29 +48,33 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# File discovery (shared with the runner)
+# File discovery
 # ----------------------------------------------------------------------
-def discover_files(paths: Sequence[str]) -> List[Tuple[Path, str]]:
+def discover_files(paths: Sequence[str]) -> List[Tuple[Path, str, str]]:
     """Expand CLI paths into a deduplicated, ordered list of .py files.
 
-    Returns ``(path, display_path)`` pairs sorted by display path.
+    Returns ``(path, display_path, module_name)`` triples sorted by
+    display path; the module name is taken relative to the CLI path
+    that first reached the file (see :func:`module_name_for`).
     Duplicate entries (the same file reached twice, e.g. ``src src`` or
-    a file plus its parent directory) are linted once; ``__pycache__``
+    a file plus its parent directory) are listed once; ``__pycache__``
     directories, hidden directories and non-``.py`` files are skipped
     explicitly.  Missing paths raise :class:`FileNotFoundError`.
     """
-    seen: Dict[Path, str] = {}
-    for raw in paths:
-        root = Path(raw)
+    roots = [Path(raw) for raw in paths]
+    for raw, root in zip(paths, roots):
         if not root.exists():
             raise FileNotFoundError(raw)
+    seen: Dict[Path, Tuple[str, str]] = {}
+    for root in roots:
+        base = root if root.is_dir() else root.parent
         for path in _python_files(root):
             resolved = path.resolve()
             if resolved not in seen:
-                seen[resolved] = str(path)
+                seen[resolved] = (str(path), module_name_for(path, base))
     return sorted(
-        ((resolved, shown) for resolved, shown in seen.items()),
-        key=lambda pair: pair[1],
+        ((resolved, shown, name) for resolved, (shown, name) in seen.items()),
+        key=lambda triple: triple[1],
     )
 
 
@@ -453,7 +457,7 @@ class ProjectContext:
             ):
                 return f"{binding.module}.{binding.symbol}"
             return None
-        chain = _attribute_parts(func)
+        chain = attribute_chain(func)
         if chain is None:
             return None
         root, attrs = chain
@@ -483,7 +487,7 @@ class ProjectContext:
         func = call.func
         if isinstance(func, ast.Name):
             return self._resolve_name(info, func.id)
-        chain = _attribute_parts(func)
+        chain = attribute_chain(func)
         if chain is None:
             return None
         root, attrs = chain
@@ -600,19 +604,6 @@ def _is_type_checking(test: ast.expr) -> bool:
     return False
 
 
-def _attribute_parts(
-    node: ast.expr,
-) -> Optional[Tuple[str, List[str]]]:
-    attrs: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        attrs.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        return current.id, list(reversed(attrs))
-    return None
-
-
 def build_project(
     paths: Sequence[str],
 ) -> Tuple[ProjectContext, List[Tuple[Path, str, Exception]]]:
@@ -620,26 +611,22 @@ def build_project(
 
     Returns ``(project, failures)`` where failures are
     ``(path, display_path, error)`` for files that did not parse (the
-    runner reports them as REP000 and analyzes the rest).
+    runner reports them as REP000 and analyzes the rest).  Every file
+    :func:`discover_files` finds is analyzed: when two share a module
+    name (``a/mod.py`` and ``b/mod.py``), the later one in display
+    order is keyed ``mod#2``, a name no import resolves to.
     """
     modules: Dict[str, ModuleInfo] = {}
     failures: List[Tuple[Path, str, Exception]] = []
-    for raw in paths:
-        root = Path(raw)
-        if not root.exists():
-            raise FileNotFoundError(raw)
-    for raw in paths:
-        root = Path(raw)
-        base = root if root.is_dir() else root.parent
-        for path in _python_files(root):
-            name = module_name_for(path, base)
-            if name in modules:
-                continue
-            display = str(path)
-            try:
-                ctx = make_context(path, display)
-            except (SyntaxError, ValueError) as exc:
-                failures.append((path, display, exc))
-                continue
-            modules[name] = ModuleInfo(name, ctx)
+    for path, shown, name in discover_files(paths):
+        try:
+            ctx = make_context(path, shown)
+        except (SyntaxError, ValueError) as exc:
+            failures.append((path, shown, exc))
+            continue
+        key, copy = name, 1
+        while key in modules:
+            copy += 1
+            key = f"{name}#{copy}"
+        modules[key] = ModuleInfo(key, ctx)
     return ProjectContext(modules), failures

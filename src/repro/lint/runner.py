@@ -1,26 +1,23 @@
-"""repro-lint driver: file discovery, rule dispatch, CLI.
+"""repro-lint driver: rule dispatch, suppressions, CLI.
 
 Usage (also reachable as ``python -m repro lint``)::
 
     python -m repro lint src               # lint a tree, exit 1 on findings
-    python -m repro lint --project src     # + whole-program rules REP010-013
-    python -m repro lint --select REP001,REP005 src/repro/core
+    python -m repro lint --select REP001,REP010 src/repro/core
     python -m repro lint --format json src # machine-readable (CI artifact)
     python -m repro lint --list-rules
 
-Diagnostics print as ``path:line:col: REPxxx message`` and are sorted by
-(path, line, col, code), so output is deterministic and editor-
-clickable; ``--format json`` emits one object per diagnostic instead.
-A file that fails to parse yields a single ``REP000`` diagnostic
-instead of crashing the run.  Inline ``# repro-lint: disable=REPxxx``
-comments suppress findings on their line (see
-:mod:`repro.lint.diagnostics`); ``--report-unused-suppressions`` flags
-directives that no longer suppress anything (code ``REP099``).
-
-File discovery is hardened: duplicate CLI paths (or a file listed both
-directly and via its parent directory) are linted once, and
-``__pycache__``/hidden directories and non-``.py`` files are skipped
-explicitly.
+Every run builds the whole-program context over ``paths``
+(:func:`repro.lint.project.build_project`) and runs the selected rules
+on it.  Diagnostics print as ``path:line:col: REPxxx message`` and are
+sorted by (path, line, col, code), so output is deterministic and
+editor-clickable; ``--format json`` emits one object per diagnostic
+instead.  A file that fails to parse yields a single ``REP000``
+diagnostic instead of crashing the run.  Inline
+``# repro-lint: disable=REPxxx`` comments suppress findings on their
+line (see :mod:`repro.lint.diagnostics`);
+``--report-unused-suppressions`` flags directives that no longer
+suppress anything (code ``REP099``).
 """
 
 from __future__ import annotations
@@ -28,11 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, TextIO
 
 from repro.lint.asyncsafe import AsyncSafetyRule
-from repro.lint.base import FileContext, ProjectRule, Rule, make_context
+from repro.lint.base import Rule
 from repro.lint.congest import CongestPayloadRule
 from repro.lint.determinism import DeterminismRule
 from repro.lint.diagnostics import Diagnostic
@@ -41,29 +37,18 @@ from repro.lint.iteration import IterationOrderRule
 from repro.lint.layering import LayeringRule
 from repro.lint.messages import MessageDisciplineRule
 from repro.lint.obsguard import ObsGuardRule
-from repro.lint.project import build_project, discover_files
+from repro.lint.project import build_project
 from repro.lint.taint import TaintRule
 
-__all__ = [
-    "ALL_RULES",
-    "PROJECT_RULES",
-    "lint_file",
-    "lint_paths",
-    "lint_project",
-    "main",
-]
+__all__ = ["RULES", "lint_paths", "main"]
 
-#: the per-file rule set, in code order.
-ALL_RULES: List[Rule] = [
+#: every rule, in code order.
+RULES: List[Rule] = [
     DeterminismRule(),
     HonestyRule(),
     MessageDisciplineRule(),
     ObsGuardRule(),
     IterationOrderRule(),
-]
-
-#: the whole-program rule set (``--project`` mode), in code order.
-PROJECT_RULES: List[ProjectRule] = [
     TaintRule(),
     LayeringRule(),
     CongestPayloadRule(),
@@ -75,45 +60,16 @@ PROJECT_RULES: List[ProjectRule] = [
 UNUSED_SUPPRESSION_CODE = "REP099"
 
 
-def _select_rules(
-    codes: Optional[Iterable[str]], project: bool = False
-) -> "tuple[List[Rule], List[ProjectRule]]":
-    project_rules: List[ProjectRule] = (
-        list(PROJECT_RULES) if project else []
-    )
+def _select_rules(codes: Optional[Iterable[str]]) -> List[Rule]:
     if codes is None:
-        return list(ALL_RULES), project_rules
+        return list(RULES)
     wanted = {c.strip().upper() for c in codes if c.strip()}
-    known = {rule.code for rule in ALL_RULES}
-    known_project = {rule.code for rule in PROJECT_RULES}
-    unknown = wanted - known - known_project
+    unknown = wanted - {rule.code for rule in RULES}
     if unknown:
         raise ValueError(
             f"unknown rule code(s): {', '.join(sorted(unknown))}"
         )
-    if not project and wanted & known_project:
-        needs = ", ".join(sorted(wanted & known_project))
-        raise ValueError(
-            f"rule(s) {needs} are whole-program rules; add --project"
-        )
-    return (
-        [rule for rule in ALL_RULES if rule.code in wanted],
-        [rule for rule in project_rules if rule.code in wanted],
-    )
-
-
-def lint_file(
-    path: Path,
-    rules: Optional[Sequence[Rule]] = None,
-    display_path: Optional[str] = None,
-) -> List[Diagnostic]:
-    """Lint one file; returns sorted, suppression-filtered diagnostics."""
-    shown = display_path or str(path)
-    try:
-        ctx = make_context(path, shown)
-    except (SyntaxError, ValueError) as exc:
-        return [_parse_failure(shown, exc)]
-    return _run_rules(ctx, rules if rules is not None else ALL_RULES)
+    return [rule for rule in RULES if rule.code in wanted]
 
 
 def _parse_failure(shown: str, exc: Exception) -> Diagnostic:
@@ -128,20 +84,6 @@ def _parse_failure(shown: str, exc: Exception) -> Diagnostic:
             f"{exc.msg if isinstance(exc, SyntaxError) else exc}"
         ),
     )
-
-
-def _run_rules(
-    ctx: FileContext, rules: Sequence[Rule]
-) -> List[Diagnostic]:
-    findings: List[Diagnostic] = []
-    for rule in rules:
-        if not rule.applies(ctx):
-            continue
-        for diag in rule.check(ctx):
-            if ctx.suppressions.active(diag.line, diag.code):
-                continue
-            findings.append(diag)
-    return _dedupe(findings)
 
 
 def _dedupe(findings: Iterable[Diagnostic]) -> List[Diagnostic]:
@@ -164,61 +106,44 @@ def _dedupe(findings: Iterable[Diagnostic]) -> List[Diagnostic]:
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-) -> List[Diagnostic]:
-    """Lint files/trees; missing paths raise :class:`FileNotFoundError`."""
-    active = list(rules) if rules is not None else list(ALL_RULES)
-    findings: List[Diagnostic] = []
-    for path, shown in discover_files(paths):
-        findings.extend(lint_file(path, active, display_path=shown))
-    return _dedupe(findings)
-
-
-def lint_project(
-    paths: Sequence[str],
-    rules: Optional[Sequence[Rule]] = None,
-    project_rules: Optional[Sequence[ProjectRule]] = None,
     report_unused_suppressions: bool = False,
 ) -> List[Diagnostic]:
-    """Whole-program lint: per-file rules + REP010-REP013 over ``paths``.
+    """Lint files/trees; returns sorted, suppression-filtered diagnostics.
 
     Builds the project context once (module graph, symbol tables, call
-    resolver), runs the per-file rules on every module and the project
-    rules on the whole graph, and applies each file's inline
-    suppressions to both.  With ``report_unused_suppressions``,
-    directives that suppressed nothing in the entire run yield
-    ``REP099`` findings.
+    resolver), runs each rule over it (default: all of :data:`RULES`)
+    and applies each file's inline suppressions.  With
+    ``report_unused_suppressions``, a directive that suppressed nothing
+    yields a ``REP099`` finding, unless it names a rule that did not
+    run (``all`` names every rule).  Missing paths raise
+    :class:`FileNotFoundError`.
     """
-    file_rules = list(rules) if rules is not None else list(ALL_RULES)
-    active_project = (
-        list(project_rules)
-        if project_rules is not None
-        else list(PROJECT_RULES)
-    )
+    active = list(rules) if rules is not None else list(RULES)
     project, failures = build_project(paths)
-    findings: List[Diagnostic] = []
-    for _path, shown, exc in failures:
-        findings.append(_parse_failure(shown, exc))
-
-    suppressions_by_path = {
+    findings = [_parse_failure(shown, exc) for _path, shown, exc in failures]
+    suppressions = {
         module.ctx.display_path: module.ctx.suppressions
         for module in project.sorted_modules()
     }
-    for module in project.sorted_modules():
-        findings.extend(_run_rules(module.ctx, file_rules))
-    for rule in active_project:
+    for rule in active:
         for diag in rule.check(project):
-            supp = suppressions_by_path.get(diag.path)
-            if supp is not None and supp.active(diag.line, diag.code):
-                continue
-            findings.append(diag)
+            if not suppressions[diag.path].active(diag.line, diag.code):
+                findings.append(diag)
 
     if report_unused_suppressions:
-        for module in project.sorted_modules():
-            for directive in module.ctx.suppressions.unused_directives():
+        # Judge a directive only if its rule ran: a skipped rule (and
+        # so ``all``) might have matched it.
+        skipped = {rule.code for rule in RULES} - {r.code for r in active}
+        for shown, supp in sorted(suppressions.items()):
+            for directive in supp.unused_directives():
+                if directive.code in skipped or (
+                    directive.code == "all" and skipped
+                ):
+                    continue
                 scope = "file-wide " if directive.file_wide else ""
                 findings.append(
                     Diagnostic(
-                        path=module.ctx.display_path,
+                        path=shown,
                         line=directive.line,
                         col=directive.col,
                         code=UNUSED_SUPPRESSION_CODE,
@@ -262,11 +187,11 @@ def main(
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "AST-based checker for the repo's protocol invariants "
+            "Whole-program checker for the repo's protocol invariants "
             "(determinism, simulation honesty, message discipline, obs "
-            "guards, iteration order; --project adds cross-module "
-            "taint, layering, CONGEST payload bounds and asyncio "
-            "safety). See docs/static_analysis.md."
+            "guards, iteration order, cross-module taint, layering, "
+            "CONGEST payload bounds, asyncio safety). See "
+            "docs/static_analysis.md."
         ),
     )
     parser.add_argument(
@@ -281,14 +206,6 @@ def main(
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "build the whole-program context (module graph, call "
-            "graph) and run rules REP010-REP013 as well"
-        ),
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -298,8 +215,8 @@ def main(
         "--report-unused-suppressions",
         action="store_true",
         help=(
-            "flag repro-lint: disable= comments that suppress nothing "
-            f"({UNUSED_SUPPRESSION_CODE}; implies --project)"
+            "flag repro-lint: disable= comments of the selected rules "
+            f"that suppress nothing ({UNUSED_SUPPRESSION_CODE})"
         ),
     )
     parser.add_argument(
@@ -310,34 +227,21 @@ def main(
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in ALL_RULES:
+        for rule in RULES:
             print(f"{rule.code} {rule.name}: {rule.summary}", file=stream)
-        for prule in PROJECT_RULES:
-            print(
-                f"{prule.code} {prule.name} (--project): {prule.summary}",
-                file=stream,
-            )
         return 0
 
-    project_mode = args.project or args.report_unused_suppressions
     try:
-        rules, project_rules = _select_rules(
-            args.select.split(",") if args.select else None,
-            project=project_mode,
-        )
+        rules = _select_rules(args.select.split(",") if args.select else None)
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     try:
-        if project_mode:
-            findings = lint_project(
-                args.paths,
-                rules,
-                project_rules,
-                report_unused_suppressions=args.report_unused_suppressions,
-            )
-        else:
-            findings = lint_paths(args.paths, rules)
+        findings = lint_paths(
+            args.paths,
+            rules,
+            report_unused_suppressions=args.report_unused_suppressions,
+        )
     except FileNotFoundError as exc:
         print(f"repro lint: no such path: {exc}", file=sys.stderr)
         return 2

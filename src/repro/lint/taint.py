@@ -15,9 +15,10 @@ This rule computes, for every function in the project, whether its
 result can carry nondeterminism, and flags every *cross-module* call
 from an algorithmic package into a tainted function.  Taint sources:
 
-* external calls REP001 bans: ``time.time``/``time_ns``,
-  ``os.urandom``, any ``random.*`` call, unseeded ``numpy.random.*``,
-  plus ``secrets.*`` and ``uuid.uuid1``/``uuid.uuid4``;
+* external calls REP001 bans — :func:`repro.lint.determinism.source_advice`
+  is the one table: ``time.time``/``time_ns``, ``os.urandom``,
+  ``secrets.*``, ``uuid.uuid1``/``uuid.uuid4``, any ``random.*`` call,
+  unseeded ``numpy.random.*``;
 * set-iteration order escaping a function — ``return list(s)`` /
   ``return tuple(s)`` / ``return [x for x in s]`` where ``s`` is
   statically set-typed (REP005's inference, reused);
@@ -39,7 +40,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.lint.base import ALGORITHMIC_PACKAGES, ProjectRule
+from repro.lint.base import ALGORITHMIC_PACKAGES, Rule
+from repro.lint.determinism import source_advice
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.iteration import (
     _function_set_names,
@@ -50,42 +52,10 @@ from repro.lint.project import FunctionInfo, ModuleInfo, ProjectContext
 
 __all__ = ["TaintRule"]
 
-#: external dotted names that are taint sources whenever called.
-_SOURCE_EXACT = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "os.urandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-    }
-)
-#: dotted prefixes (module part) every call under which is a source.
-_SOURCE_PREFIXES = ("random.", "secrets.")
-#: numpy.random entry points that are fine *when given a seed argument*
-#: (mirrors REP001's allowance).
-_SEEDED_CONSTRUCTORS = frozenset(
-    {"default_rng", "RandomState", "SeedSequence", "Generator"}
-)
-
 
 def _is_rng_module(module: ModuleInfo) -> bool:
     """The sanctioned randomness plumbing (``repro.util.rng``)."""
     return module.name == "rng" or module.name.endswith(".rng")
-
-
-def _external_source(dotted: str, call: ast.Call) -> Optional[str]:
-    """A source label if ``dotted`` is a banned external call."""
-    if dotted in _SOURCE_EXACT:
-        return dotted
-    if dotted.startswith(_SOURCE_PREFIXES):
-        return dotted
-    if dotted.startswith("numpy.random."):
-        fn = dotted.rsplit(".", 1)[1]
-        if fn in _SEEDED_CONSTRUCTORS and (call.args or call.keywords):
-            return None
-        return dotted
-    return None
 
 
 class _Taint:
@@ -98,7 +68,7 @@ class _Taint:
         self.chain = chain
 
 
-class TaintRule(ProjectRule):
+class TaintRule(Rule):
     code = "REP010"
     name = "determinism-taint"
     summary = (
@@ -107,15 +77,19 @@ class TaintRule(ProjectRule):
         "interprocedural extension of REP001/REP005"
     )
 
+    def applies(self, module: ModuleInfo) -> bool:
+        in_scope = module.ctx.in_packages(ALGORITHMIC_PACKAGES)
+        return in_scope and not _is_rng_module(module)
+
     def check(self, project: ProjectContext) -> Iterator[Diagnostic]:
+        # One taint memo per run, shared by every module's checks.
         cache: Dict[int, Optional[_Taint]] = {}
         for module in project.sorted_modules():
-            if not module.ctx.in_packages(ALGORITHMIC_PACKAGES):
-                continue
-            if _is_rng_module(module):
-                continue
-            for fn in module.all_functions():
-                yield from self._check_function(project, module, fn, cache)
+            if self.applies(module):
+                for fn in module.all_functions():
+                    yield from self._check_function(
+                        project, module, fn, cache
+                    )
 
     # -- reporting ------------------------------------------------------
     def _check_function(
@@ -204,9 +178,8 @@ class TaintRule(ProjectRule):
             dotted = project.resolve_external(module, call.func)
             if dotted is None:
                 continue
-            label = _external_source(dotted, call)
-            if label is not None:
-                return label
+            if source_advice(dotted, call) is not None:
+                return dotted
         escape = self._set_order_escape(fn)
         if escape is not None:
             return escape

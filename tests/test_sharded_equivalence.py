@@ -152,8 +152,10 @@ class TestWorkerPool:
             ")\n"
             "shutdown_workers()\n"
         )
+        # -B: the stripped env drops PYTHONDONTWRITEBYTECODE; spawned
+        # shard workers inherit the flag, so no .pyc lands in src/.
         result = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-B", "-c", script],
             capture_output=True,
             text=True,
             timeout=120,
