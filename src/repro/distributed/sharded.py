@@ -19,9 +19,10 @@ Three structural facts make that possible:
 * **Contiguous ranges preserve inbox order.**  A clean round's inbox
   buckets are src-sorted because senders are iterated in ascending
   vertex order.  With shards covering contiguous ascending vertex
-  ranges, concatenating per-shard boundary output in shard order is
+  ranges, concatenating one destination's buckets in shard order is
   *also* globally src-ascending, so a worker rebuilds each inbox as
-  ``remote(src < lo) + local + remote(src > hi)`` without sorting.
+  ``remote(lower shards) + local + remote(higher shards)`` without
+  sorting.
 * **Accounting is per-sender.**  Every (edge, round, direction) slot is
   charged where it is collected — by the sending shard — so summing the
   per-shard counters (and maxing the widths) reproduces the global
@@ -42,6 +43,21 @@ networks per run, and respawning interpreters per phase would dominate.
 A ``load`` command swaps the worker-resident network state; a network
 superseded by a newer ``load`` refuses further use loudly.
 
+Serialization is paid once per datum.  ``load`` pickles the host once
+and hands every worker the same bytes.  At each barrier a worker splits
+its boundary sends by destination shard and pickles each part; the
+coordinator forwards the parts unopened, in shard order, and keeps only
+the counters and a per-shard in-flight flag.
+
+A worker runs without the cyclic garbage collector: one
+``gc.collect()`` at start-up clears the spawn bootstrap's garbage, then
+automatic collection stays off for the worker's life.  The worker is
+the engine's own process and builds no reference cycles (pinned by
+``tests/test_sharded_equivalence.py``), so reference counting frees
+each replaced engine on ``load``, while every full collection would
+re-walk the resident host and node programs.  The coordinator is the
+caller's process and keeps the interpreter's collector settings.
+
 Restrictions: the sharded engine covers the clean configuration the
 benchmarks measure — no fault plan, no reliable-delivery adapter, no
 ``strict`` width enforcement (``build_network`` raises ``ValueError``
@@ -56,7 +72,9 @@ and when one shard still wins.
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
+import pickle
 import traceback
 from bisect import bisect_right
 from typing import (
@@ -86,19 +104,24 @@ __all__ = [
     "shutdown_workers",
 ]
 
-#: one cross-shard message in transit: ``(src, dst, payload)``.
-_Triple = Tuple[int, int, Any]
+#: one destination's inbox bucket: ``(src, payload)`` entries, src-ascending.
+_Bucket = List[Tuple[int, Any]]
+
+#: one worker's boundary sends at a barrier, per destination shard: the
+#: pickled ``[(dst, bucket), ...]`` list, or None when it sends none there.
+_Parts = List[Optional[bytes]]
 
 #: cumulative per-worker accounting, reported at every barrier:
 #: ``(messages, total_words, max_message_words, violations,
-#: halted_count, has_local_pending)``.
+#: halted_count, has_pending)``; ``has_pending`` says whether the
+#: worker's last round sent anything, local or boundary.
 _Report = Tuple[int, int, int, int, int, bool]
 
 #: worker-side event record: ``("halt", r, node)`` or
 #: ``("send", r, src, dst, words, fingerprint)``.
 _Event = Tuple[Any, ...]
 
-_RoundResult = Tuple[List[_Triple], _Report, List[_Event]]
+_RoundResult = Tuple[_Parts, _Report, List[_Event]]
 
 
 def shard_ranges(order: Sequence[int], shards: int) -> List[Tuple[int, int]]:
@@ -189,54 +212,60 @@ class _ShardEngine(Network):
 
 
 def _deliver_boundary(
-    engine: _ShardEngine, lo: int, inbound: List[_Triple]
+    engine: _ShardEngine, shard: int, inbound: _Parts
 ) -> None:
     """Merge this round's boundary arrivals into the local inboxes.
 
-    ``inbound`` arrives in globally ascending source order (shards are
-    contiguous ranges, concatenated in shard order by the coordinator),
-    so each inbox becomes ``remote(src < lo) + local + remote(src > hi)``
-    — exactly the src-sorted bucket the single-process engine holds —
-    without sorting.
+    ``inbound`` holds one pickled part per source shard, in shard
+    order (``None`` where a shard sent nothing here, and at this
+    shard's own slot).  Shards are contiguous ascending vertex ranges
+    and each part's buckets are src-sorted, so each inbox becomes
+    ``remote(lower shards) + local + remote(higher shards)`` — exactly
+    the src-sorted bucket the single-process engine holds — without
+    sorting.
     """
     pending = engine._pending
-    pre: Dict[int, List[Tuple[int, Any]]] = {}
-    for src, dst, payload in inbound:
-        side = pre if src < lo else pending
-        bucket = side.get(dst)
-        if bucket is None:
-            side[dst] = [(src, payload)]
-        else:
-            bucket.append((src, payload))
+    pre: Dict[int, _Bucket] = {}
+    for source, part in enumerate(inbound):
+        if part is None:
+            continue
+        side = pre if source < shard else pending
+        for dst, bucket in pickle.loads(part):
+            have = side.get(dst)
+            if have is None:
+                side[dst] = bucket
+            else:
+                have.extend(bucket)
     for dst, bucket in pre.items():
         local = pending.get(dst)
         pending[dst] = bucket if local is None else bucket + local
 
 
 def _split_and_report(
-    engine: _ShardEngine, lo: int, hi: int
+    engine: _ShardEngine, lo: int, hi: int, starts: List[int]
 ) -> _RoundResult:
     """Separate this round's collected sends into local and boundary.
 
     ``engine._pending`` (as left by the inherited collect) holds every
     send keyed by destination; destinations inside ``[lo, hi]`` — the
     shard's contiguous vertex range, so the interval test *is* the
-    ownership test — stay local, the rest flatten into boundary triples
-    re-sorted by source.  The sort is stable, so a sender's multiple
-    payloads to one destination keep their order; cross-shard
-    concatenation in shard order then restores the global ascending-src
-    inbox invariant at the receiver.
+    ownership test — stay local.  The other buckets go, whole and
+    src-sorted, to the part of the shard that owns their destination
+    (``starts`` holds each shard's first vertex), and each part is
+    pickled here, once: the coordinator relays the bytes unopened.
     """
     pending = engine._pending
-    local: Dict[int, List[Tuple[int, Any]]] = {}
-    remote: List[_Triple] = []
+    local: Dict[int, _Bucket] = {}
+    remote: List[List[Tuple[int, _Bucket]]] = [[] for _ in starts]
     for dst, bucket in pending.items():
         if lo <= dst <= hi:
             local[dst] = bucket
         else:
-            for src, payload in bucket:
-                remote.append((src, dst, payload))
-    remote.sort(key=lambda triple: triple[0])
+            remote[bisect_right(starts, dst) - 1].append((dst, bucket))
+    parts: _Parts = [
+        pickle.dumps(part, pickle.HIGHEST_PROTOCOL) if part else None
+        for part in remote
+    ]
     engine._pending = local
     stats = engine.stats
     report: _Report = (
@@ -245,11 +274,11 @@ def _split_and_report(
         stats.max_message_words,
         stats.violations,
         engine._ledger.halted,
-        bool(local),
+        bool(pending),
     )
     log = engine.obs
     events = log.drain() if isinstance(log, _EventLog) else []
-    return remote, report, events
+    return parts, report, events
 
 
 def _worker_main(conn: Any) -> None:
@@ -258,12 +287,22 @@ def _worker_main(conn: Any) -> None:
 
     Replies are ``("ok", value)`` or ``("err", exc_type, message,
     traceback_text)``; the coordinator re-raises.  ``load`` replaces the
-    resident engine (``graph=None`` reuses the previously shipped
-    graph — the coordinator only elides it for the identical, unmutated
-    host object).
+    resident engine; it carries the host pickled once by the
+    coordinator, or ``None`` to reuse the previously shipped graph (the
+    coordinator only elides it for the identical, unmutated host
+    object).
+
+    The worker runs with automatic cyclic collection off for its whole
+    life: one ``gc.collect()`` first clears what the spawn bootstrap
+    left, and after that the engine builds no reference cycles, so
+    reference counting alone frees each replaced engine and host.
     """
+    gc.collect()
+    gc.disable()
     graph: Optional[Graph] = None
     engine: Optional[_ShardEngine] = None
+    shard = 0
+    starts: List[int] = []
     lo = hi = -1
     while True:
         try:
@@ -274,13 +313,15 @@ def _worker_main(conn: Any) -> None:
         try:
             out: Any = None
             if cmd == "load":
-                _, new_graph, programs, cap, record = msg
-                if new_graph is not None:
-                    graph = new_graph
-                assert graph is not None, "load before any graph shipped"
-                # Freed here, by reference counting, before the next
-                # engine is built: two networks never overlap in memory.
+                _, shard, starts, host, programs, cap, record = msg
+                # Freed here, by reference counting, before their
+                # successors are built: two networks (or two shipped
+                # hosts) never overlap in memory.
                 engine = None
+                if host is not None:
+                    graph = None
+                    graph = pickle.loads(host)
+                assert graph is not None, "load before any graph shipped"
                 log = _EventLog() if record else None
                 engine = _ShardEngine(graph, programs, cap, log)
                 if engine._order:
@@ -290,15 +331,15 @@ def _worker_main(conn: Any) -> None:
             elif cmd == "setup":
                 assert engine is not None
                 engine._run_setup()
-                out = _split_and_report(engine, lo, hi)
+                out = _split_and_report(engine, lo, hi, starts)
             elif cmd == "round":
                 assert engine is not None
                 _, round_no, inbound = msg
                 # Halt events and collected sends are stamped with it.
                 engine.stats.rounds = round_no
-                _deliver_boundary(engine, lo, inbound)
+                _deliver_boundary(engine, shard, inbound)
                 engine._run_round(round_no)
-                out = _split_and_report(engine, lo, hi)
+                out = _split_and_report(engine, lo, hi, starts)
             elif cmd == "apply":
                 assert engine is not None
                 _, fn, args, kwargs = msg
@@ -375,22 +416,28 @@ class _WorkerPool:
     ) -> int:
         """Install a new network across the workers; returns its generation.
 
-        The graph is elided when the *identical object* (identity pinned
-        by the strong reference held here) with unchanged ``(n, m)`` was
+        The host is pickled once and every worker gets the same bytes.
+        It is elided when the *identical object* (identity pinned by
+        the strong reference held here) with unchanged ``(n, m)`` was
         already shipped — the repeated-phases case.  Protocol hosts are
         immutable during a run, which is what makes the identity check
-        sufficient.
+        sufficient.  Each worker also learns its shard index and every
+        shard's first vertex, to split its boundary sends by owner.
         """
         self.generation += 1
         shape = (graph.n, graph.m)
         resident = (
             graph is self._last_graph and shape == self._last_shape
         )
-        payload_graph = None if resident else graph
+        host = (
+            None if resident
+            else pickle.dumps(graph, pickle.HIGHEST_PROTOCOL)
+        )
+        starts = [min(programs, default=0) for programs in slices]
         self._exchange(
             [
-                ("load", payload_graph, programs, cap, record)
-                for programs in slices
+                ("load", shard, starts, host, programs, cap, record)
+                for shard, programs in enumerate(slices)
             ]
         )
         self._last_graph = graph
@@ -493,7 +540,7 @@ class ShardedNetwork:
     The run loop replicates ``Network.run`` barrier-for-barrier:
     all-halted check at the top, round counter bump, the round body
     (deliver + execute + collect), idle check after the collect — with
-    the round body run by the workers and only boundary triples,
+    the round body run by the workers and only pickled boundary parts,
     cumulative counters and (under a tracer) event logs crossing the
     pipes.
     """
@@ -519,8 +566,6 @@ class ShardedNetwork:
         self.fault_log_limit = 256
         ranges = shard_ranges(order, shards)
         self.shards = len(ranges)
-        #: first vertex of each shard, for bisect routing of boundary dsts.
-        self._starts = [order[lo] for lo, _ in ranges]
         slices = [
             {v: programs[v] for v in order[lo:hi]} for lo, hi in ranges
         ]
@@ -531,7 +576,11 @@ class ShardedNetwork:
         self._reports: List[_Report] = [
             (0, 0, 0, 0, 0, False)
         ] * self.shards
-        self._boundary: List[_Triple] = []
+        #: the last barrier's pickled boundary parts, indexed
+        #: ``[source shard][destination shard]``.
+        self._parts: List[_Parts] = [
+            [None] * self.shards for _ in range(self.shards)
+        ]
         self._setup_done = False
         if obs is not None:
             obs.on_network(self)
@@ -544,9 +593,7 @@ class ShardedNetwork:
     @property
     def in_flight(self) -> bool:
         """Whether any message (local to a shard or boundary) is in transit."""
-        return bool(self._boundary) or any(
-            report[5] for report in self._reports
-        )
+        return any(report[5] for report in self._reports)
 
     def _halted_total(self) -> int:
         return sum(report[4] for report in self._reports)
@@ -566,30 +613,20 @@ class ShardedNetwork:
         )
 
     # ------------------------------------------------------------------
-    def _route(self, boundary: List[_Triple]) -> List[List[_Triple]]:
-        """Partition globally src-ordered triples by destination shard."""
-        inbound: List[List[_Triple]] = [[] for _ in range(self.shards)]
-        starts = self._starts
-        for triple in boundary:
-            inbound[bisect_right(starts, triple[1]) - 1].append(triple)
-        return inbound
-
     def _absorb(self, outs: List[_RoundResult]) -> None:
         """Merge one barrier's worker results into coordinator state.
 
-        Boundary lists concatenate in shard order (restoring global
-        ascending-src order); counters are summed/maxed from the
-        cumulative per-worker reports; halt events replay before send
-        events, each in shard order — the single-process event order.
+        Boundary parts are kept, unopened, for the next round; counters
+        are summed/maxed from the cumulative per-worker reports; halt
+        events replay before send events, each in shard order — the
+        single-process event order.
         """
-        boundary: List[_Triple] = []
         logs: List[List[_Event]] = []
-        for k, (remote, report, events) in enumerate(outs):
+        for k, (parts, report, events) in enumerate(outs):
+            self._parts[k] = parts
             self._reports[k] = report
-            boundary.extend(remote)
             if events:
                 logs.append(events)
-        self._boundary = boundary
         reports = self._reports
         stats = self.stats
         stats.messages = sum(r[0] for r in reports)
@@ -628,13 +665,12 @@ class ShardedNetwork:
             round_no = stats.rounds
             if obs is not None:
                 obs.on_round(round_no)
-            inbound = self._route(self._boundary)
-            self._boundary = []
+            parts = self._parts
             self._absorb(
                 pool.command_each(
                     self._generation,
                     [
-                        ("round", round_no, inbound[k])
+                        ("round", round_no, [out[k] for out in parts])
                         for k in range(self.shards)
                     ],
                 )

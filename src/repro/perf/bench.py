@@ -18,8 +18,9 @@ from __future__ import annotations
 import multiprocessing
 import resource
 import sys
+import traceback
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.obs.runners import run_traced
 from repro.perf.workloads import (
@@ -53,22 +54,19 @@ def _peak_rss_kb() -> int:
     return peak
 
 
-def _children_peak_rss_kb() -> int:
-    """Summed peak RSS (``VmHWM``) of this process's live
-    ``multiprocessing`` children, in KiB (0 where ``/proc`` is absent)."""
-    total = 0
-    for child in multiprocessing.active_children():
-        try:
-            with open(
-                f"/proc/{child.pid}/status", encoding="utf-8", errors="replace"
-            ) as fh:
-                for line in fh:
-                    if line.startswith("VmHWM:"):
-                        total += int(line.split()[1])
-                        break
-        except OSError:
-            continue
-    return total
+def _hwm_kb(pid: Union[int, str]) -> int:
+    """Peak resident set size (``VmHWM``) of one live process, in KiB
+    (0 where ``/proc`` is absent)."""
+    try:
+        with open(
+            f"/proc/{pid}/status", encoding="utf-8", errors="replace"
+        ) as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return 0
 
 
 def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
@@ -141,23 +139,68 @@ def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
     """Benchmark one sharded-engine cell: best-of-``reps`` plus counts.
 
     Mirrors :func:`run_cell` with the run dispatched to the sharded
-    engine at the cell's shard count.  Each cell starts on a fresh
-    worker pool, so the workers' high-water marks belong to this cell;
-    the first rep absorbs the spawn cost and the best-of-reps wall
-    measures steady-state round throughput.  ``peak_rss_kb`` is this
-    process's peak plus every worker's.  Counts are engine-invariant
-    (pinned by ``tests/test_sharded_equivalence.py``), so drift against
-    a single-process baseline row is a correctness failure here too.
+    engine at the cell's shard count.  The cell runs in a fresh
+    spawn-context child process, which starts its own worker pool (so
+    the child is not daemonic) and is joined on every path.
+    ``peak_rss_kb`` is that child's own peak (``VmHWM``) plus every
+    worker's, so a row belongs to its cell alone, whatever the caller
+    held before.  The first rep absorbs the spawn cost and the
+    best-of-reps wall measures steady-state round throughput.  Counts
+    are engine-invariant (pinned by
+    ``tests/test_sharded_equivalence.py``), so drift against a
+    single-process baseline row is a correctness failure here too.
 
     Must run in a process that may spawn children — the one-cell-per-
     process bench pool's workers are daemonic, so the CLI forces
     ``jobs=1`` for sharded matrices.
     """
-    from repro.distributed.sharded import shutdown_workers
-
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    shutdown_workers()
+    context = multiprocessing.get_context("spawn")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(
+        target=_sharded_cell_child, args=(cell, reps, writer)
+    )
+    child.start()
+    writer.close()
+    try:
+        reply = reader.recv()
+    except EOFError:
+        reply = None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        reader.close()
+        child.join()
+    if reply is None:
+        raise RuntimeError(
+            f"{cell.cell_id}: bench child died "
+            f"(exitcode {child.exitcode})"
+        )
+    status, value = reply
+    if status != "ok":
+        raise RuntimeError(f"{cell.cell_id} failed:\n{value}")
+    return value
+
+
+def _sharded_cell_child(cell: ShardedCell, reps: int, conn: Any) -> None:
+    """Spawned per sharded cell: replies ``("ok", row)`` or
+    ``("err", traceback_text)``, with the shard pool already shut down."""
+    from repro.distributed.sharded import shutdown_workers
+
+    try:
+        reply = ("ok", _measure_sharded_cell(cell, reps))
+    except Exception:  # noqa: BLE001 - shipped to the caller
+        reply = ("err", traceback.format_exc())
+    finally:
+        shutdown_workers()
+    conn.send(reply)
+    conn.close()
+
+
+def _measure_sharded_cell(cell: ShardedCell, reps: int) -> CellResult:
+    """The body of :func:`run_sharded_cell`, in its child process."""
     graph = cell.build_graph()
     best_wall = float("inf")
     counts: Optional[Tuple[int, int, int]] = None
@@ -197,7 +240,11 @@ def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
         "messages_per_s": (
             round(messages / best_wall, 1) if best_wall > 0 else 0.0
         ),
-        "peak_rss_kb": _peak_rss_kb() + _children_peak_rss_kb(),
+        # A spawned child's ru_maxrss starts at its parent's high-water
+        # mark (exec keeps it); VmHWM is the child's own.
+        "peak_rss_kb": (_hwm_kb("self") or _peak_rss_kb()) + sum(
+            _hwm_kb(worker.pid) for worker in multiprocessing.active_children()
+        ),
     }
 
 

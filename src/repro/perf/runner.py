@@ -61,9 +61,9 @@ def _bench_worker(task: Tuple[_AnyCell, int]) -> CellResult:
     if isinstance(cell, ServiceCell):
         return run_service_cell(cell, reps=reps)
     if isinstance(cell, ShardedCell):
-        # Only reachable at jobs=1 (pool workers are daemonic and the
-        # sharded engine must spawn its own children; the CLI forces
-        # --sharded runs in-process).
+        # Only reachable at jobs=1 (pool workers are daemonic and a
+        # sharded cell spawns its own child, which spawns the shard
+        # workers; the CLI forces --sharded runs to --jobs 1).
         return run_sharded_cell(cell, reps=reps)
     return run_cell(cell, reps=reps)
 

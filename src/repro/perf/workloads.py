@@ -180,15 +180,17 @@ def sharded_matrix(
     """The sharded scaling matrix (smoke subset = ``("smoke",)``).
 
     Small scales sweep every bench protocol and host family; the ``e2``
-    (10^5-node) scale runs Baswana–Sen on the er host only — 2k rounds
+    (10^5-node) scale runs Baswana–Sen on every host family — 2k rounds
     of unit messages is the workload whose per-round node iteration the
     sharding targets, while the skeleton's Expand machinery at that n
-    is sequential-schedule-dominated and would swamp the curve.
+    is sequential-schedule-dominated and would swamp the curve.  The
+    three families span the cost model's boundary cut (ER ~50%,
+    hypercube 7%, grid 0.2% at two shards).
     """
     cells: List[ShardedCell] = []
     for scale in scales:
         if scale == "e2":
-            combos = [("baswana_sen", "er")]
+            combos = [("baswana_sen", kind) for kind in _GRAPH_KINDS]
         else:
             combos = [
                 (protocol, kind)

@@ -26,9 +26,12 @@ class Spanner:
     ) -> None:
         self.host = host
         self.edges: Set[Edge] = {canonical_edge(u, v) for u, v in edges}
-        for u, v in sorted(self.edges):
-            if not host.has_edge(u, v):
-                raise ValueError(f"spanner edge {(u, v)} not in host graph")
+        has_edge = host.has_edge
+        missing = {edge for edge in self.edges if not has_edge(*edge)}
+        if missing:
+            raise ValueError(
+                f"spanner edge {min(missing)} not in host graph"
+            )
         self.metadata: Dict[str, Any] = dict(metadata or {})
         self._subgraph: Optional[Graph] = None
 

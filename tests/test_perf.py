@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +19,12 @@ from repro.perf import (
     run_matrix,
     smoke_matrix,
 )
-from repro.perf.bench import _peak_rss_kb, run_sharded_cell
+from repro.perf.bench import run_sharded_cell
 from repro.perf.cli import build_report, main as bench_main
 from repro.perf.runner import default_jobs
 from repro.perf.workloads import ShardedCell, sharded_matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestWorkloadMatrix:
@@ -159,11 +164,14 @@ class TestShardedMatrix:
         assert len(shard_ids) == len(set(shard_ids))
         assert not set(shard_ids) & {c.cell_id for c in full_matrix()}
 
-    def test_e2_scale_is_baswana_sen_er_only(self):
+    def test_e2_scale_is_baswana_sen_on_every_host(self):
         e2 = [c for c in sharded_matrix() if c.scale == "e2"]
-        assert e2 and all(
-            (c.protocol, c.graph_kind) == ("baswana_sen", "er") for c in e2
-        )
+        assert {(c.protocol, c.graph_kind, c.shards) for c in e2} == {
+            ("baswana_sen", kind, shards)
+            for kind in ("er", "grid", "hypercube")
+            for shards in (1, 2, 4)
+        }
+        assert len(e2) == 9
 
     def test_counts_match_single_process_row(self):
         """The count-drift gate contract: a sharded cell's counts equal
@@ -176,10 +184,38 @@ class TestShardedMatrix:
             assert sharded[name] == base[name]
         assert sharded["shards"] == 2
         assert sharded["cell_id"] == "baswana_sen/grid/smoke/s1/shards2"
-        if os.path.exists("/proc/self/status"):
-            # The row adds the two shard workers' peaks to this
-            # process's own.
-            assert sharded["peak_rss_kb"] > _peak_rss_kb()
+        assert sharded["peak_rss_kb"] > 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc"
+    )
+    def test_row_peak_is_the_cells_own(self):
+        """A sharded row's peak RSS belongs to its cell: a buffer the
+        caller touched and freed before the cell does not show in it."""
+        buffer_kb = 64 << 10
+        script = (
+            "from repro.perf.bench import run_sharded_cell\n"
+            "from repro.perf.workloads import ShardedCell\n"
+            "cell = ShardedCell('baswana_sen', 'grid', 'smoke', 1, 2)\n"
+            "before = run_sharded_cell(cell, reps=1)['peak_rss_kb']\n"
+            f"buffer = b'x' * ({buffer_kb} << 10)\n"
+            "del buffer\n"
+            "after = run_sharded_cell(cell, reps=1)['peak_rss_kb']\n"
+            "print(before, after)\n"
+        )
+        # -B: the stripped env drops PYTHONDONTWRITEBYTECODE; spawned
+        # children inherit the flag, so no .pyc lands in src/.
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 0, result.stderr
+        before, after = map(int, result.stdout.split())
+        assert before > 0
+        assert after - before < buffer_kb // 2
 
 
 def _report(cells):

@@ -36,6 +36,7 @@ from repro.distributed.sharded import (
 from repro.distributed.simulator import Api, Network, NodeProgram
 from repro.graphs import erdos_renyi_gnp
 from repro.graphs.generators import path
+from repro.graphs.zoo import build_host
 from repro.obs import Obs, TraceRecorder, run_traced
 
 SHARD_COUNTS = (1, 2, 4)
@@ -181,6 +182,41 @@ class TestWorkerPool:
         ):
             pool.load(graph, slices, None, False)
         assert multiprocessing.active_children() == []
+
+
+def _collector_state(programs: Dict[int, Any]) -> Tuple[bool, int]:
+    """Picklable probe: a worker's collector flag and what a full
+    collection finds there."""
+    import gc
+
+    return gc.isenabled(), gc.collect()
+
+
+class TestWorkerCollector:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_workers_run_without_the_collector_and_leave_no_cycles(
+        self, protocol
+    ):
+        """A shard worker runs with automatic collection off, and a
+        whole protocol run leaves it nothing to collect: loading the
+        probe's network frees the run's last engine and host by
+        reference counting alone."""
+
+        def probe() -> List[Any]:
+            graph = path(6)
+            network = ShardedNetwork(
+                graph, {v: _GossipMax(v) for v in graph.vertices()}, shards=2
+            )
+            return network.apply_programs(_collector_state)
+
+        # The first probe imports this module in the workers (imports
+        # leave cycles of their own) and collects what that left.
+        probe()
+        run_traced(
+            protocol, build_host("er", "smoke", 1001), seed=11, obs=None,
+            shards=2,
+        )
+        assert probe() == [(False, 0)] * 2
 
 
 class TestShardGeometry:

@@ -33,6 +33,11 @@ class TestSpannerObject:
         with pytest.raises(ValueError):
             Spanner(g, [(0, 2)])
 
+    def test_names_the_smallest_foreign_edge(self):
+        g = path(4)
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) not in host"):
+            Spanner(g, [(0, 1), (3, 1), (0, 3)])
+
     def test_edges_canonicalized(self):
         g = path(4)
         sp = Spanner(g, [(1, 0), (0, 1)])
