@@ -21,7 +21,8 @@ Omega(n^{1/4}) round floor at polylog width).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set
+from functools import partial
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.distributed.faults import FaultPlan
 from repro.distributed.primitives import pipelined_broadcast_protocol
@@ -36,11 +37,10 @@ from repro.util.rng import SeedLike, make_prf
 class _ExchangeProgram(NodeProgram):
     """Round 1: announce (degree, dominator flag); round 2: drafting."""
 
-    def __init__(self, node_id: int, degree: int, is_dominator: bool,
+    def __init__(self, node_id: int, dominators: FrozenSet[int],
                  threshold: int):
         self.node_id = node_id
-        self.degree = degree
-        self.is_dominator = is_dominator
+        self.is_dominator = node_id in dominators
         self.threshold = threshold
         self.nbr_degree: Dict[int, int] = {}
         self.nbr_dominator: Set[int] = set()
@@ -48,7 +48,7 @@ class _ExchangeProgram(NodeProgram):
 
     def on_round(self, api: Api, round_index: int, inbox) -> None:
         if round_index == 1:
-            api.broadcast(("I", self.degree, self.is_dominator))
+            api.broadcast(("I", len(api.neighbors), self.is_dominator))
         elif round_index == 2:
             for src, msg in inbox:
                 if msg[0] == "I":
@@ -58,7 +58,7 @@ class _ExchangeProgram(NodeProgram):
             # A heavy vertex with no dominator in sight drafts its
             # min-id neighbor (mirrors the sequential patch).
             if (
-                self.degree >= self.threshold
+                len(api.neighbors) >= self.threshold
                 and not self.is_dominator
                 and not self.nbr_dominator
                 and self.nbr_degree
@@ -111,16 +111,14 @@ def distributed_additive2(
     }
 
     # Phase 1: exchange + drafting (3 rounds, <= 3-word messages).
-    programs = {
-        v: _ExchangeProgram(
-            v, graph.degree(v), v in dominators, threshold
-        )
-        for v in graph.vertices()
-    }
     with phase_scope(obs, "exchange"):
         network = build_network(
             graph,
-            programs,
+            partial(
+                _ExchangeProgram,
+                dominators=frozenset(dominators),
+                threshold=threshold,
+            ),
             max_message_words=max_message_words,
             fault_plan=fault_plan,
             reliable=reliable,

@@ -18,12 +18,14 @@ messages — matching the model row in Fig. 1 up to constants.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.distributed.faults import FaultPlan
 from repro.distributed.reliable import ReliableConfig, build_network
 from repro.distributed.simulator import Api, NodeProgram
 from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.weighted import WeightedGraph
 from repro.obs.trace import Obs, phase_scope
 from repro.spanner.spanner import Spanner
 from repro.util.rng import SeedLike, make_prf
@@ -123,12 +125,12 @@ class _WeightedBaswanaSenProgram(NodeProgram):
     """
 
     def __init__(self, node_id: int, k: int, sample_p: float, prf,
-                 weights: Dict[int, float]) -> None:
+                 weighted_graph: WeightedGraph) -> None:
         self.node_id = node_id
         self.k = k
         self.sample_p = sample_p
         self.prf = prf
-        self.weights = weights  # neighbor -> edge weight
+        self.weights = weighted_graph.neighbors(node_id)  # nbr -> weight
         self.center = node_id
         self.active = True
         self.edges: Set[Edge] = set()
@@ -212,15 +214,15 @@ def distributed_baswana_sen_weighted(
         obs.protocol = "baswana_sen_weighted"
     prf = make_prf(seed)
     sample_p = graph.n ** (-1.0 / k) if graph.n else 0.0
-    programs = {
-        v: _WeightedBaswanaSenProgram(
-            v, k, sample_p, prf, dict(weighted_graph.neighbors(v))
-        )
-        for v in graph.vertices()
-    }
     network = build_network(
         graph,
-        programs,
+        partial(
+            _WeightedBaswanaSenProgram,
+            k=k,
+            sample_p=sample_p,
+            prf=prf,
+            weighted_graph=weighted_graph,
+        ),
         max_message_words=max_message_words,
         fault_plan=fault_plan,
         reliable=reliable,
@@ -264,13 +266,9 @@ def distributed_baswana_sen(
         obs.protocol = "baswana_sen"
     prf = make_prf(seed)
     sample_p = graph.n ** (-1.0 / k) if graph.n else 0.0
-    programs = {
-        v: _BaswanaSenProgram(v, k, sample_p, prf)
-        for v in graph.vertices()
-    }
     network = build_network(
         graph,
-        programs,
+        partial(_BaswanaSenProgram, k=k, sample_p=sample_p, prf=prf),
         max_message_words=max_message_words,
         fault_plan=fault_plan,
         reliable=reliable,

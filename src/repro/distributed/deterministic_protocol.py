@@ -46,6 +46,7 @@ death edges total <= n (D+1) per superphase and joins <= n overall
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.theory import (
@@ -614,10 +615,9 @@ def distributed_deterministic(
     n = graph.n
     if obs is not None and not obs.protocol:
         obs.protocol = "deterministic"
-    programs = {v: _DeterministicProgram(v, n) for v in graph.vertices()}
     network = build_network(
         graph,
-        programs,
+        partial(_DeterministicProgram, n=n),
         max_message_words=max_message_words,
         fault_plan=fault_plan,
         reliable=reliable,

@@ -24,7 +24,8 @@ These are the two communication patterns of Section 4.4:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.distributed.faults import FaultPlan
 from repro.distributed.reliable import ReliableConfig, build_network
@@ -36,11 +37,11 @@ from repro.obs.trace import Obs, phase_scope
 class _BfsProgram(NodeProgram):
     """Min-id nearest-source BFS node logic."""
 
-    def __init__(self, node_id: int, is_source: bool) -> None:
+    def __init__(self, node_id: int, sources: FrozenSet[int]) -> None:
         self.node_id = node_id
-        self.is_source = is_source
-        self.dist: Optional[int] = 0 if is_source else None
-        self.root: Optional[int] = node_id if is_source else None
+        self.is_source = node_id in sources
+        self.dist: Optional[int] = 0 if self.is_source else None
+        self.root: Optional[int] = node_id if self.is_source else None
         self.parent: Optional[int] = None
 
     def setup(self, api: Api) -> None:
@@ -98,14 +99,10 @@ def bounded_bfs_protocol(
     ``obs``/``phase`` attach observability (the run is traced under the
     given phase label); ``shards`` selects the sharded engine.
     """
-    source_set = set(sources)
-    programs = {
-        v: _BfsProgram(v, v in source_set) for v in graph.vertices()
-    }
     with phase_scope(obs, phase):
         network = build_network(
             graph,
-            programs,
+            partial(_BfsProgram, sources=frozenset(sources)),
             max_message_words=max_message_words,
             fault_plan=fault_plan,
             reliable=reliable,
@@ -130,10 +127,10 @@ class _BallProgram(NodeProgram):
     """Ball-broadcast node logic with cessation on cap overflow."""
 
     def __init__(
-        self, node_id: int, is_source: bool, cap: Optional[int]
+        self, node_id: int, sources: FrozenSet[int], cap: Optional[int]
     ) -> None:
         self.node_id = node_id
-        self.is_source = is_source
+        self.is_source = node_id in sources
         self.cap = cap
         #: source -> (distance, parent toward it).
         self.known: Dict[int, Tuple[int, Optional[int]]] = {}
@@ -220,15 +217,14 @@ def ball_broadcast_protocol(
     heard to ``(distance, parent-toward-it)``; ``ceased[v]`` is the round
     at which v stopped relaying because of the word cap (absent if never).
     """
-    source_set = set(sources)
-    programs = {
-        v: _BallProgram(v, v in source_set, max_message_words)
-        for v in graph.vertices()
-    }
     with phase_scope(obs, phase):
         network = build_network(
             graph,
-            programs,
+            partial(
+                _BallProgram,
+                sources=frozenset(sources),
+                cap=max_message_words,
+            ),
             max_message_words=max_message_words,
             fault_plan=fault_plan,
             reliable=reliable,
@@ -260,10 +256,10 @@ class _PipelinedBroadcastProgram(NodeProgram):
     """
 
     def __init__(
-        self, node_id: int, is_source: bool, cap: Optional[int]
+        self, node_id: int, sources: FrozenSet[int], cap: Optional[int]
     ) -> None:
         self.node_id = node_id
-        self.is_source = is_source
+        self.is_source = node_id in sources
         self.cap = cap
         #: source -> (distance, parent toward it); exact at quiescence.
         self.known: Dict[int, Tuple[int, Optional[int]]] = {}
@@ -332,17 +328,14 @@ def pipelined_broadcast_protocol(
     parents form shortest-path trees per source once the run quiesces,
     regardless of the width cap (queueing only delays convergence).
     """
-    source_set = set(sources)
-    programs = {
-        v: _PipelinedBroadcastProgram(
-            v, v in source_set, max_message_words
-        )
-        for v in graph.vertices()
-    }
     with phase_scope(obs, phase):
         network = build_network(
             graph,
-            programs,
+            partial(
+                _PipelinedBroadcastProgram,
+                sources=frozenset(sources),
+                cap=max_message_words,
+            ),
             max_message_words=max_message_words,
             fault_plan=fault_plan,
             reliable=reliable,
@@ -363,12 +356,12 @@ class _RetraceProgram(NodeProgram):
     def __init__(
         self,
         node_id: int,
-        parents: Dict[int, Optional[int]],
-        initial_requests: List[int],
+        parent_maps: Dict[int, Dict[int, Optional[int]]],
+        requests: Dict[int, List[int]],
     ) -> None:
         self.node_id = node_id
-        self.parents = parents
-        self.initial_requests = initial_requests
+        self.parents = parent_maps.get(node_id, {})
+        self.initial_requests = list(requests.get(node_id, ()))
         self.edges_added: Set[Edge] = set()
 
     def _relay(self, api: Api, targets: Iterable[int]) -> None:
@@ -423,16 +416,12 @@ def path_retrace_protocol(
     produced by :func:`ball_broadcast_protocol`); the added edge set is the
     union of the traced paths.
     """
-    programs = {
-        v: _RetraceProgram(
-            v, parent_maps.get(v, {}), list(requests.get(v, ()))
-        )
-        for v in graph.vertices()
-    }
     with phase_scope(obs, phase):
         network = build_network(
             graph,
-            programs,
+            partial(
+                _RetraceProgram, parent_maps=parent_maps, requests=requests
+            ),
             max_message_words=max_message_words,
             fault_plan=fault_plan,
             reliable=reliable,

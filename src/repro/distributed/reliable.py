@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
@@ -583,7 +584,7 @@ class ReliableNetwork:
 
 def build_network(
     graph: Graph,
-    programs: Dict[int, NodeProgram],
+    make_program: Callable[[int], NodeProgram],
     max_message_words: Optional[int] = None,
     strict: bool = False,
     fault_plan: Optional[FaultPlan] = None,
@@ -594,6 +595,23 @@ def build_network(
 ) -> Union[Network, "ReliableNetwork", "ShardedNetwork"]:
     """One-stop network construction for protocol entry points.
 
+    ``make_program(v)`` returns vertex ``v``'s initial
+    :class:`NodeProgram`, and each engine calls it where the program
+    runs.  In the model a processor starts out knowing only its
+    identifier and the run's public parameters (n, the shared seed), so
+    a factory is the program class itself or a ``functools.partial`` of
+    it over those shared arguments.  The contract:
+
+    * it is picklable: a module-level class or function, or a partial of
+      one over picklable arguments (the sharded engine ships it once to
+      every worker);
+    * it is a pure function of ``v``: it may share read-only objects
+      (the PRF, a source set, parent maps, weights) among the programs
+      it builds, but it draws nothing and mutates nothing.
+
+    That is why neither the construction order nor the partition across
+    shard workers can change a program.
+
     ``reliable=True`` wraps every program in :class:`ReliableProgram`
     and returns a :class:`ReliableNetwork` (whose ``run`` counts inner
     rounds); otherwise a plain :class:`Network` is returned, optionally
@@ -601,10 +619,11 @@ def build_network(
     faults is how the chaos harness demonstrates why the adapter exists.
 
     ``shards`` (>= 1) returns a
-    :class:`~repro.distributed.sharded.ShardedNetwork` running the
-    programs across that many persistent worker processes.  The sharded
-    engine covers the clean configuration only: combining it with
-    ``fault_plan``, ``reliable`` or ``strict`` raises ``ValueError``.
+    :class:`~repro.distributed.sharded.ShardedNetwork` whose workers
+    each build and run one contiguous vertex range's programs.  The
+    sharded engine covers the clean configuration only: combining it
+    with ``fault_plan``, ``reliable`` or ``strict`` raises
+    ``ValueError``.
     """
     if shards is not None:
         if fault_plan is not None:
@@ -617,7 +636,7 @@ def build_network(
 
         return ShardedNetwork(
             graph,
-            programs,
+            make_program,
             shards,
             max_message_words=max_message_words,
             obs=obs,
@@ -625,7 +644,7 @@ def build_network(
     if reliable:
         return ReliableNetwork(
             graph,
-            programs,
+            {v: make_program(v) for v in graph.vertices()},
             max_message_words=max_message_words,
             fault_plan=fault_plan,
             config=reliable_config,
@@ -633,7 +652,7 @@ def build_network(
         )
     return Network(
         graph,
-        programs=programs,
+        program_factory=make_program,
         max_message_words=max_message_words,
         strict=strict,
         fault_plan=fault_plan,

@@ -43,11 +43,13 @@ networks per run, and respawning interpreters per phase would dominate.
 A ``load`` command swaps the worker-resident network state; a network
 superseded by a newer ``load`` refuses further use loudly.
 
-Serialization is paid once per datum.  ``load`` pickles the host once
-and hands every worker the same bytes.  At each barrier a worker splits
-its boundary sends by destination shard and pickles each part; the
-coordinator forwards the parts unopened, in shard order, and keeps only
-the counters and a per-shard in-flight flag.
+Serialization is paid once per datum.  ``load`` pickles the host and
+the per-vertex program factory once and hands every worker the same
+bytes; each worker builds its own range's programs from the factory, so
+the coordinator never builds, holds or pickles a node program.  At each
+barrier a worker splits its boundary sends by destination shard and
+pickles each part; the coordinator forwards the parts unopened, in
+shard order, and keeps only the counters and a per-shard in-flight flag.
 
 A worker runs without the cyclic garbage collector: one
 ``gc.collect()`` at start-up clears the spawn bootstrap's garbage, then
@@ -92,7 +94,6 @@ from repro.distributed.simulator import (
     NetworkStats,
     NodeProgram,
     ProtocolError,
-    _check_programs,
 )
 from repro.graphs.graph import Graph
 from repro.obs.trace import payload_fingerprint
@@ -192,22 +193,26 @@ class _ShardEngine(Network):
     """One shard's slice of the network, living inside a worker process.
 
     A :class:`Network` whose programs cover only a contiguous vertex
-    range of the (full, shared) graph.  It skips ``Network.__init__`` —
-    whose coverage check demands a program for *every* vertex — but
-    builds its state with the same ``_init_state``, and the worker
-    drives it through the same ``_run_setup`` / ``_run_round`` that
-    ``Network.run`` calls: the sharded engine delivers, steps and
-    charges words with the single-process engine's code.  Only the
-    round loop lives coordinator-side, where the barrier is.
+    range of the (full, shared) graph, built here from the pickled
+    per-vertex factory.  It skips ``Network.__init__`` — whose coverage
+    check demands a program for *every* vertex — but builds its state
+    with the same ``_init_state``, and the worker drives it through the
+    same ``_run_setup`` / ``_run_round`` that ``Network.run`` calls: the
+    sharded engine delivers, steps and charges words with the
+    single-process engine's code.  Only the round loop lives
+    coordinator-side, where the barrier is.
     """
 
     def __init__(
         self,
         graph: Graph,
-        programs: Dict[int, NodeProgram],
+        factory: bytes,
+        vertices: Sequence[int],
         cap: Optional[int],
         obs: Optional[_EventLog],
     ) -> None:
+        make_program = pickle.loads(factory)
+        programs = {v: make_program(v) for v in vertices}
         self._init_state(graph, programs, cap, obs=obs)
 
 
@@ -290,7 +295,9 @@ def _worker_main(conn: Any) -> None:
     resident engine; it carries the host pickled once by the
     coordinator, or ``None`` to reuse the previously shipped graph (the
     coordinator only elides it for the identical, unmutated host
-    object).
+    object), and the pickled program factory, from which the worker
+    builds the programs of its own contiguous range of the sorted
+    vertices (:func:`shard_ranges`).
 
     The worker runs with automatic cyclic collection off for its whole
     life: one ``gc.collect()`` first clears what the spawn bootstrap
@@ -300,6 +307,7 @@ def _worker_main(conn: Any) -> None:
     gc.collect()
     gc.disable()
     graph: Optional[Graph] = None
+    order: List[int] = []
     engine: Optional[_ShardEngine] = None
     shard = 0
     starts: List[int] = []
@@ -313,7 +321,7 @@ def _worker_main(conn: Any) -> None:
         try:
             out: Any = None
             if cmd == "load":
-                _, shard, starts, host, programs, cap, record = msg
+                _, shard, shards, host, factory, cap, record = msg
                 # Freed here, by reference counting, before their
                 # successors are built: two networks (or two shipped
                 # hosts) never overlap in memory.
@@ -321,9 +329,15 @@ def _worker_main(conn: Any) -> None:
                 if host is not None:
                     graph = None
                     graph = pickle.loads(host)
+                    order = sorted(graph.vertices())
                 assert graph is not None, "load before any graph shipped"
+                ranges = shard_ranges(order, shards)
+                starts = [order[begin] for begin, end in ranges if end > begin]
+                begin, end = ranges[shard]
                 log = _EventLog() if record else None
-                engine = _ShardEngine(graph, programs, cap, log)
+                engine = _ShardEngine(
+                    graph, factory, order[begin:end], cap, log
+                )
                 if engine._order:
                     lo, hi = engine._order[0], engine._order[-1]
                 else:
@@ -410,21 +424,30 @@ class _WorkerPool:
     def load(
         self,
         graph: Graph,
-        slices: List[Dict[int, NodeProgram]],
+        make_program: Callable[[int], NodeProgram],
         cap: Optional[int],
         record: bool,
     ) -> int:
         """Install a new network across the workers; returns its generation.
 
-        The host is pickled once and every worker gets the same bytes.
-        It is elided when the *identical object* (identity pinned by
-        the strong reference held here) with unchanged ``(n, m)`` was
-        already shipped — the repeated-phases case.  Protocol hosts are
-        immutable during a run, which is what makes the identity check
-        sufficient.  Each worker also learns its shard index and every
-        shard's first vertex, to split its boundary sends by owner.
+        The host and the program factory are each pickled once, before
+        any worker is sent anything, and every worker gets the same
+        bytes: an unpicklable factory raises ``TypeError`` naming it and
+        leaves the resident network in place.  The host is elided when
+        the *identical object* (identity pinned by the strong reference
+        held here) with unchanged ``(n, m)`` was already shipped — the
+        repeated-phases case.  Protocol hosts are immutable during a
+        run, which is what makes the identity check sufficient.  Each
+        worker learns its shard index and the shard count, from which
+        it derives its own vertex range and every shard's first vertex.
         """
-        self.generation += 1
+        try:
+            factory = pickle.dumps(make_program, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise TypeError(
+                f"program factory {make_program!r} cannot be shipped to "
+                f"the shard workers: {exc}"
+            ) from exc
         shape = (graph.n, graph.m)
         resident = (
             graph is self._last_graph and shape == self._last_shape
@@ -433,11 +456,11 @@ class _WorkerPool:
             None if resident
             else pickle.dumps(graph, pickle.HIGHEST_PROTOCOL)
         )
-        starts = [min(programs, default=0) for programs in slices]
+        self.generation += 1
         self._exchange(
             [
-                ("load", shard, starts, host, programs, cap, record)
-                for shard, programs in enumerate(slices)
+                ("load", shard, self.shards, host, factory, cap, record)
+                for shard in range(self.shards)
             ]
         )
         self._last_graph = graph
@@ -463,18 +486,23 @@ class _WorkerPool:
     def _exchange(self, messages: List[Tuple[Any, ...]]) -> List[Any]:
         """Send one message per worker, then gather one reply from each.
 
-        Any failure leaves the barrier inconsistent, so it retires the
-        whole pool and raises naming the shard: the worker's own error,
-        or — when a dead worker's pipe breaks on the send or the reply —
-        the worker's exit code.
+        Every message is pickled before the first is sent, so one that
+        cannot be pickled raises with no worker touched.  Any failure
+        after that leaves the barrier out of step (a worker that got its
+        message owes a reply nobody reads), so it retires the whole pool
+        and re-raises; a worker's own error, or a dead worker's pipe
+        breaking on the send or the reply, raises naming the shard and,
+        for a dead one, its exit code.
         """
+        frames = [
+            pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            for message in messages
+        ]
         shard = 0
         replies: List[Any] = []
         try:
-            for shard, (conn, message) in enumerate(
-                zip(self._conns, messages)
-            ):
-                conn.send(message)
+            for shard, (conn, frame) in enumerate(zip(self._conns, frames)):
+                conn.send_bytes(frame)
             for shard, conn in enumerate(self._conns):
                 replies.append(conn.recv())
         except (EOFError, OSError):
@@ -483,6 +511,9 @@ class _WorkerPool:
                 f"shard {shard} worker died "
                 f"(exitcode {self._procs[shard].exitcode})"
             ) from None
+        except BaseException:
+            self._retire()
+            raise
         for shard, reply in enumerate(replies):
             if reply[0] == "err":
                 self._retire()
@@ -532,10 +563,11 @@ class ShardedNetwork:
     Mirrors the :class:`~repro.distributed.simulator.Network` surface
     the protocol runners use — ``run(max_rounds, stop_when_idle)``,
     ``stats``, ``in_flight``, ``graph``, ``apply_programs`` — with the
-    node programs living in the worker processes.  There is deliberately
-    no ``programs`` attribute: coordinator-side copies would be stale
-    the moment ``run`` executes, so all program access goes through
-    :meth:`apply_programs`.
+    node programs living in the worker processes.  ``make_program`` is
+    the per-vertex factory of ``build_network``'s contract; each worker
+    unpickles it and builds its own range's programs, so none exists
+    coordinator-side.  There is deliberately no ``programs`` attribute:
+    all program access goes through :meth:`apply_programs`.
 
     The run loop replicates ``Network.run`` barrier-for-barrier:
     all-halted check at the top, round counter bump, the round body
@@ -548,15 +580,13 @@ class ShardedNetwork:
     def __init__(
         self,
         graph: Graph,
-        programs: Dict[int, NodeProgram],
+        make_program: Callable[[int], NodeProgram],
         shards: int,
         max_message_words: Optional[int] = None,
         obs: Optional[Any] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        _check_programs(graph, programs)
-        order = sorted(graph.vertices())
         self.graph = graph
         self.stats = NetworkStats(cap=max_message_words)
         self.obs = obs
@@ -564,14 +594,11 @@ class ShardedNetwork:
         #: a clean single-process network would.
         self.reliable_layer = False
         self.fault_log_limit = 256
-        ranges = shard_ranges(order, shards)
-        self.shards = len(ranges)
-        slices = [
-            {v: programs[v] for v in order[lo:hi]} for lo, hi in ranges
-        ]
+        #: clamped to n exactly as the workers' ``shard_ranges`` split.
+        self.shards = len(shard_ranges(range(graph.n), shards))
         self._pool = _WorkerPool.get(self.shards)
         self._generation = self._pool.load(
-            graph, slices, max_message_words, obs is not None
+            graph, make_program, max_message_words, obs is not None
         )
         self._reports: List[_Report] = [
             (0, 0, 0, 0, 0, False)

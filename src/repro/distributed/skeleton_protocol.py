@@ -461,10 +461,9 @@ def distributed_skeleton(
 
     if obs is not None and not obs.protocol:
         obs.protocol = "skeleton"
-    programs = {v: _SkeletonProgram(v) for v in graph.vertices()}
     network = build_network(
         graph,
-        programs,
+        _SkeletonProgram,
         max_message_words=cap,
         fault_plan=fault_plan,
         reliable=reliable,

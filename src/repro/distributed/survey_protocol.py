@@ -82,11 +82,10 @@ def neighborhood_survey(
     """
     if obs is not None and not obs.protocol:
         obs.protocol = "survey"
-    programs = {v: _SurveyProgram(v) for v in graph.vertices()}
     with phase_scope(obs, "survey"):
         network = build_network(
             graph,
-            programs,
+            _SurveyProgram,
             fault_plan=fault_plan,
             reliable=reliable,
             reliable_config=reliable_config,

@@ -24,6 +24,9 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 __all__ = ["Diagnostic", "Directive", "Suppressions", "parse_suppressions"]
 
+#: the literal every directive holds; a source without it has none.
+_MARKER = "repro-lint"
+
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable(?P<filewide>-file)?\s*=\s*"
     r"(?P<codes>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
@@ -102,8 +105,12 @@ def parse_suppressions(source: str) -> Suppressions:
 
     Uses the tokenizer (not a per-line regex) so ``#`` characters inside
     string literals can never masquerade as directives.  A directive
-    applies to the physical line its comment sits on.
+    applies to the physical line its comment sits on.  Every directive
+    holds the literal ``repro-lint``, so a file without it (most files)
+    is never tokenized.
     """
+    if _MARKER not in source:
+        return Suppressions({})
     by_line: Dict[int, FrozenSet[str]] = {}
     file_wide: FrozenSet[str] = frozenset()
     directives: List[Directive] = []

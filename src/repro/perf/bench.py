@@ -45,9 +45,15 @@ CellResult = Dict[str, Any]
 def _peak_rss_kb() -> int:
     """Peak resident set size of this process, in KiB.
 
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalize
-    to KiB so reports are comparable.
+    Its own ``VmHWM``: a spawned process's ``ru_maxrss`` starts at its
+    parent's high-water mark (exec keeps it), so a bench cell measured
+    in a spawned child would report its parent's peak.  Only where
+    ``/proc`` is absent does it fall back to ``ru_maxrss`` (kilobytes
+    on Linux, bytes on macOS; normalized to KiB).
     """
+    own = _hwm_kb("self")
+    if own:
+        return own
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":
         return peak // 1024
@@ -240,9 +246,7 @@ def _measure_sharded_cell(cell: ShardedCell, reps: int) -> CellResult:
         "messages_per_s": (
             round(messages / best_wall, 1) if best_wall > 0 else 0.0
         ),
-        # A spawned child's ru_maxrss starts at its parent's high-water
-        # mark (exec keeps it); VmHWM is the child's own.
-        "peak_rss_kb": (_hwm_kb("self") or _peak_rss_kb()) + sum(
+        "peak_rss_kb": _peak_rss_kb() + sum(
             _hwm_kb(worker.pid) for worker in multiprocessing.active_children()
         ),
     }

@@ -79,9 +79,11 @@ def run_matrix(
     tasks = [(cell, reps) for cell in cells]
     if jobs <= 1 or len(cells) <= 1:
         return [_bench_worker(task) for task in tasks]
-    # The spawn start method (not fork): a forked child *inherits* the
-    # parent's ru_maxrss, so every cell would report the CLI process's
-    # footprint instead of its own.  chunksize=1, or map() batches
+    # The spawn start method (not fork): a forked child starts with the
+    # CLI process's pages mapped, so its VmHWM would count them; a fresh
+    # interpreter's VmHWM counts only what its cell touched.  (Its
+    # ru_maxrss still starts at the parent's high-water mark, which is
+    # why bench rows read VmHWM.)  chunksize=1, or map() batches
     # several cells per worker and maxtasksperchild counts the batch as
     # one task — each cell must see a fresh interpreter for its
     # peak-RSS number to be its own.

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from repro.lint import (
     lint_paths,
     parse_suppressions,
 )
+from repro.lint import diagnostics
 from repro.lint.runner import main as lint_main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -367,6 +369,57 @@ def test_rep000_on_syntax_error(tmp_path):
 def test_parse_suppressions_tolerates_garbage():
     sup = parse_suppressions("x = (")
     assert not sup.active(1, "REP001")
+
+
+def test_marker_free_source_is_not_tokenized(monkeypatch):
+    def tokenizer_called(*args, **kwargs):
+        raise AssertionError("tokenized a source without a directive")
+
+    monkeypatch.setattr(tokenize, "generate_tokens", tokenizer_called)
+    sup = parse_suppressions("import time\nt = time.time()  # a note\n")
+    assert sup.directives == []
+    assert not sup.active(2, "REP001")
+
+
+@pytest.mark.parametrize("tree", ["fixture", "src"])
+def test_json_output_unchanged_when_every_file_is_tokenized(
+    tmp_path, monkeypatch, tree
+):
+    """Skipping marker-free files changes nothing `repro lint --format
+    json` prints: on `src` and on a tree with a finding, a suppressed
+    finding and a stale directive, output equals tokenizing every file."""
+    if tree == "src":
+        root = SRC
+    else:
+        root = tmp_path
+        write(tmp_path, "plain.py", "import time\nt = time.time()\n")
+        write(
+            tmp_path,
+            "marked.py",
+            """\
+            import time
+
+            def a():
+                return time.time()
+
+            def b():
+                return time.time()  # repro-lint: disable=REP001
+
+            x = 1  # repro-lint: disable=REP005
+            """,
+        )
+    argv = ["--format", "json", "--report-unused-suppressions", str(root)]
+    outputs = []
+    for marker in (diagnostics._MARKER, ""):
+        monkeypatch.setattr(diagnostics, "_MARKER", marker)
+        out = io.StringIO()
+        lint_main(argv, out=out)
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    if tree == "fixture":
+        assert [d["code"] for d in json.loads(outputs[0])] == [
+            "REP001", "REP099", "REP001"
+        ]
 
 
 # ----------------------------------------------------------------------

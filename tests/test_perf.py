@@ -136,6 +136,43 @@ class TestRunMatrix:
             for name in ("rounds", "messages", "words"):
                 assert a[name] == b[name]
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc"
+    )
+    def test_row_peak_is_the_cells_own(self):
+        """A pooled single-process row's peak RSS belongs to its cell: a
+        buffer the caller touched and freed before the pool spawned
+        does not show in it (``ru_maxrss`` would carry it over)."""
+        buffer_kb = 64 << 10
+        script = (
+            "from repro.perf.runner import run_matrix\n"
+            "from repro.perf.workloads import WorkloadCell\n"
+            "cells = [\n"
+            "    WorkloadCell('baswana_sen', 'grid', 'smoke', seed)\n"
+            "    for seed in (1, 2)\n"
+            "]\n"
+            "def peak():\n"
+            "    rows = run_matrix(cells, jobs=2, reps=1)\n"
+            "    return max(row['peak_rss_kb'] for row in rows)\n"
+            "before = peak()\n"
+            f"buffer = b'x' * ({buffer_kb} << 10)\n"
+            "del buffer\n"
+            "print(before, peak())\n"
+        )
+        # -B: the stripped env drops PYTHONDONTWRITEBYTECODE; spawned
+        # children inherit the flag, so no .pyc lands in src/.
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 0, result.stderr
+        before, after = map(int, result.stdout.split())
+        assert before > 0
+        assert after - before < buffer_kb // 2
+
 
 class TestDefaultJobs:
     def test_respects_scheduling_affinity(self, monkeypatch):

@@ -24,7 +24,11 @@ from typing import Any, Dict, List, Tuple
 import pytest
 
 from repro.core.protocols import PROTOCOLS
-from repro.distributed import FaultPlan
+from repro.distributed import (
+    FaultPlan,
+    baswana_sen_protocol,
+    skeleton_protocol,
+)
 from repro.distributed.reliable import build_network
 from repro.distributed.sharded import (
     ShardedNetwork,
@@ -36,6 +40,7 @@ from repro.distributed.sharded import (
 from repro.distributed.simulator import Api, Network, NodeProgram
 from repro.graphs import erdos_renyi_gnp
 from repro.graphs.generators import path
+from repro.graphs.graph import Graph
 from repro.graphs.zoo import build_host
 from repro.obs import Obs, TraceRecorder, run_traced
 
@@ -95,46 +100,34 @@ class TestShardedEquivalence:
 
 class TestRestrictions:
     def test_shards_reject_fault_plan(self):
-        graph = _host()
-        programs = {v: _GossipMax(v) for v in graph.vertices()}
         with pytest.raises(ValueError, match="shards"):
             build_network(
-                graph, programs, shards=2, fault_plan=FaultPlan(seed=1)
+                _host(), _GossipMax, shards=2, fault_plan=FaultPlan(seed=1)
             )
 
     def test_shards_reject_reliable_layer(self):
-        graph = _host()
-        programs = {v: _GossipMax(v) for v in graph.vertices()}
         with pytest.raises(ValueError, match="shards"):
-            build_network(graph, programs, shards=2, reliable=True)
+            build_network(_host(), _GossipMax, shards=2, reliable=True)
 
     def test_shards_reject_strict(self):
-        graph = _host()
-        programs = {v: _GossipMax(v) for v in graph.vertices()}
         with pytest.raises(ValueError, match="shards"):
-            build_network(graph, programs, shards=2, strict=True)
+            build_network(_host(), _GossipMax, shards=2, strict=True)
 
     def test_shard_count_must_be_positive(self):
-        graph = path(4)
-        programs = {v: _GossipMax(v) for v in graph.vertices()}
         with pytest.raises(ValueError, match=">= 1"):
-            ShardedNetwork(graph, programs, shards=0)
+            ShardedNetwork(path(4), _GossipMax, shards=0)
 
     def test_missing_programs_rejected(self):
-        graph = path(4)
-        programs = {0: _GossipMax(0)}
+        """A programs dict that leaves a vertex out is refused (the
+        factory-built engines cover every vertex by construction)."""
         with pytest.raises(ValueError, match="no program"):
-            ShardedNetwork(graph, programs, shards=2)
+            Network(path(4), programs={0: _GossipMax(0)})
 
     def test_stale_network_refuses_to_run(self):
         """A newer load retires older networks on the same pool loudly."""
         graph = path(6)
-        first = ShardedNetwork(
-            graph, {v: _GossipMax(v) for v in graph.vertices()}, shards=2
-        )
-        second = ShardedNetwork(
-            graph, {v: _GossipMax(v) for v in graph.vertices()}, shards=2
-        )
+        first = ShardedNetwork(graph, _GossipMax, shards=2)
+        second = ShardedNetwork(graph, _GossipMax, shards=2)
         with pytest.raises(RuntimeError, match="stale"):
             first.run(1)
         second.run(2)  # the resident network still works
@@ -171,17 +164,50 @@ class TestWorkerPool:
         victim = pool._procs[1]
         victim.kill()
         victim.join(timeout=10)
-        graph = path(4)
-        slices = [
-            {v: _GossipMax(v) for v in (0, 1)},
-            {v: _GossipMax(v) for v in (2, 3)},
-        ]
         with pytest.raises(
             RuntimeError,
             match=rf"shard 1 worker died \(exitcode {-signal.SIGKILL}\)",
         ):
-            pool.load(graph, slices, None, False)
+            pool.load(path(4), _GossipMax, None, False)
         assert multiprocessing.active_children() == []
+
+    def test_unpicklable_factory_is_named_and_leaves_the_pool_in_step(self):
+        """A factory that cannot be pickled fails before any worker is
+        sent its load: the error names it, and the next network on the
+        same pool runs exactly as one process does."""
+        graph = path(8)
+        pool = _WorkerPool.get(2)
+        with pytest.raises(TypeError, match="lambda"):
+            ShardedNetwork(graph, lambda v: _GossipMax(v), shards=2)
+        sharded = _phased_run(ShardedNetwork(graph, _GossipMax, shards=2))
+        assert _WorkerPool.get(2) is pool
+        assert sharded == _phased_run(
+            Network(graph, program_factory=_GossipMax)
+        )
+
+    def test_failure_after_a_send_retires_the_pool(self, monkeypatch):
+        """Once one worker has its message, any failure leaves the
+        barrier out of step: the pool is retired, not reused."""
+        graph = path(8)
+        network = ShardedNetwork(graph, _GossipMax, shards=2)
+        pool = network._pool
+
+        def interrupted(frame: bytes) -> None:
+            raise _Interrupted
+
+        monkeypatch.setattr(pool._conns[1], "send_bytes", interrupted)
+        with pytest.raises(_Interrupted):
+            network.run(1)
+        assert _WorkerPool._pools.get(2) is not pool
+        assert not pool.alive()
+        sharded = _phased_run(ShardedNetwork(graph, _GossipMax, shards=2))
+        assert sharded == _phased_run(
+            Network(graph, program_factory=_GossipMax)
+        )
+
+
+class _Interrupted(Exception):
+    """Raised by a patched pipe in the middle of an exchange."""
 
 
 def _collector_state(programs: Dict[int, Any]) -> Tuple[bool, int]:
@@ -203,10 +229,7 @@ class TestWorkerCollector:
         reference counting alone."""
 
         def probe() -> List[Any]:
-            graph = path(6)
-            network = ShardedNetwork(
-                graph, {v: _GossipMax(v) for v in graph.vertices()}, shards=2
-            )
+            network = ShardedNetwork(path(6), _GossipMax, shards=2)
             return network.apply_programs(_collector_state)
 
         # The first probe imports this module in the workers (imports
@@ -241,6 +264,61 @@ class TestShardGeometry:
         graph = _host()
         for shards in SHARD_COUNTS:
             assert 0 <= boundary_edges(graph, shards) <= graph.m
+
+
+def _program_span(programs: Dict[int, Any]) -> Tuple[int, int, int]:
+    """Picklable probe: a shard's lowest and highest vertex and size."""
+    return min(programs), max(programs), len(programs)
+
+
+class TestProgramsLiveInWorkers:
+    def test_each_worker_builds_its_own_range(self):
+        """Every worker holds exactly its ``shard_ranges`` slice of the
+        sorted vertices, on a host whose ids are not 0..n-1."""
+        order = [3 * i + 5 for i in range(11)]
+        graph = Graph(vertices=order, edges=zip(order, order[1:]))
+        for shards in (1, 2, 3, 4):
+            network = ShardedNetwork(graph, _GossipMax, shards=shards)
+            assert network.apply_programs(_program_span) == [
+                (order[lo], order[hi - 1], hi - lo)
+                for lo, hi in shard_ranges(order, shards)
+            ]
+
+    @pytest.mark.parametrize(
+        "module, program, driver, params",
+        [
+            (
+                baswana_sen_protocol,
+                "_BaswanaSenProgram",
+                "distributed_baswana_sen",
+                {"k": 3},
+            ),
+            (skeleton_protocol, "_SkeletonProgram", "distributed_skeleton", {}),
+        ],
+        ids=["baswana_sen", "skeleton"],
+    )
+    def test_coordinator_builds_no_program(
+        self, monkeypatch, module, program, driver, params
+    ):
+        """A sharded driver run constructs no node program in the
+        coordinator; the single-process run constructs one per vertex."""
+        cls = getattr(module, program)
+        run = getattr(module, driver)
+        built: List[int] = []
+        original = cls.__init__
+
+        def counting(self: Any, node_id: int, *args: Any, **kw: Any) -> None:
+            built.append(node_id)
+            original(self, node_id, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+        graph = _host()
+        single = run(graph, seed=1, **params)
+        assert sorted(built) == sorted(graph.vertices())
+        built.clear()
+        sharded = run(graph, seed=1, shards=2, **params)
+        assert built == []
+        assert sharded.edges == single.edges
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +378,7 @@ class TestMultiPhaseResumability:
             Network(graph, fresh(), obs=Obs(recorder=TraceRecorder()))
         )
         sharded_stats, sharded_values = _phased_run(
-            ShardedNetwork(graph, fresh(), shards=3)
+            ShardedNetwork(graph, _GossipMax, shards=3)
         )
         assert clean_values == expected
         assert general_values == expected
