@@ -11,6 +11,7 @@ importing this module loads no protocol or baseline module.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import random
 from dataclasses import dataclass
@@ -79,11 +80,28 @@ class ProtocolSpec:
 
     def run(self, graph: Graph, seed: Any = None, **kwargs: Any) -> Any:
         """The driver's output, its parameters in ``kwargs`` resolved and
-        every other keyword (``obs``, ``fault_plan``, ...) passed on."""
+        every other keyword (``obs``, ``fault_plan``, ...) passed on.
+
+        The whole run, network construction to ``Spanner``, runs with
+        automatic cyclic collection paused: a protocol run leaves no
+        reference cycles (``TestNoReferenceCycles``), so reference
+        counting frees all it builds, and a collection could only
+        re-walk the caller's heap.  The caller's setting is restored on
+        the way out; a nested run leaves that to the outermost one.
+        Nothing else of the collector's is touched, and a driver called
+        directly runs under the caller's settings.
+        """
         kwargs.update(self.resolve(kwargs))
         if self.seeded:
             kwargs["seed"] = seed
-        return _lookup(self.driver)(graph, **kwargs)
+        driver = _lookup(self.driver)
+        if not gc.isenabled():
+            return driver(graph, **kwargs)
+        gc.disable()
+        try:
+            return driver(graph, **kwargs)
+        finally:
+            gc.enable()
 
     def run_mirror(
         self, graph: Graph, seed: Any = None, **params: Any

@@ -58,7 +58,9 @@ the engine's own process and builds no reference cycles (pinned by
 ``tests/test_sharded_equivalence.py``), so reference counting frees
 each replaced engine on ``load``, while every full collection would
 re-walk the resident host and node programs.  The coordinator is the
-caller's process and keeps the interpreter's collector settings.
+caller's process: a registry run (:meth:`ProtocolSpec.run
+<repro.core.protocols.ProtocolSpec.run>`) pauses its collector for the
+run, and a network built directly keeps the caller's settings.
 
 Restrictions: the sharded engine covers the clean configuration the
 benchmarks measure — no fault plan, no reliable-delivery adapter, no

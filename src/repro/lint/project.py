@@ -54,8 +54,9 @@ def discover_files(paths: Sequence[str]) -> List[Tuple[Path, str, str]]:
     """Expand CLI paths into a deduplicated, ordered list of .py files.
 
     Returns ``(path, display_path, module_name)`` triples sorted by
-    display path; the module name is taken relative to the CLI path
-    that first reached the file (see :func:`module_name_for`).
+    display path; the module name is taken relative to the package
+    root above the CLI path that first reached the file (see
+    :func:`module_name_for`).
     Duplicate entries (the same file reached twice, e.g. ``src src`` or
     a file plus its parent directory) are listed once; ``__pycache__``
     directories, hidden directories and non-``.py`` files are skipped
@@ -94,14 +95,21 @@ def _python_files(root: Path) -> Iterator[Path]:
 
 
 def module_name_for(path: Path, root: Path) -> str:
-    """Dotted module name of ``path`` relative to the discovery root.
+    """Dotted module name of ``path`` under the discovery root.
 
-    ``src/repro/util/rng.py`` under root ``src`` -> ``repro.util.rng``;
-    a package ``__init__.py`` names the package itself; a file given
-    directly (or unrooted fixture files) -> its stem.
+    The name is taken from the root's enclosing package root: while the
+    root directory holds an ``__init__.py`` the walk goes up one level,
+    so ``src/repro/util/rng.py`` is ``repro.util.rng`` under ``src``,
+    ``src/repro/util`` or the file itself, and absolute imports between
+    files given as separate subdirectories resolve.  A package
+    ``__init__.py`` names the package itself; a file outside any
+    package -> its path under the root (its stem when given directly).
     """
+    root = root.resolve()
+    while (root / "__init__.py").is_file() and root.parent != root:
+        root = root.parent
     try:
-        rel = path.resolve().relative_to(root.resolve())
+        rel = path.resolve().relative_to(root)
     except ValueError:
         rel = Path(path.name)
     parts = list(rel.parts)

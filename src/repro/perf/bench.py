@@ -82,7 +82,9 @@ def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
     is not simulator cost) and every rep runs the identical
     deterministic computation, so counts are asserted equal across
     reps.  A cell with a fault plan runs over the reliable layer, and
-    its row adds ``retransmissions`` and ``dropped``.
+    its row adds ``retransmissions`` and ``dropped``.  ``peak_rss_kb``
+    is this process's ``VmHWM``, the cell's own only in a fresh process
+    (as in :func:`~repro.perf.runner.run_matrix`'s pool).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

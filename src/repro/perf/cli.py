@@ -94,7 +94,9 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help=f"worker processes (default: cpu count = {default_jobs()})",
+        help=f"worker processes (default: cpu count = {default_jobs()}); "
+             "1 runs the cells in this process, and their rows carry no "
+             "peak RSS",
     )
     parser.add_argument(
         "--reps",
@@ -178,10 +180,13 @@ def _render_cells(results: List[CellResult]) -> str:
         f"{'msgs/s':>10s} {'rss(MB)':>8s}"
     ]
     for cell in results:
+        # --jobs 1 rows carry no peak of their own (see run_matrix).
+        peak = cell.get("peak_rss_kb")
+        rss = "-" if peak is None else f"{peak / 1024:.1f}"
         lines.append(
             f"{cell['cell_id']:40s} {cell['wall_s']:8.3f} "
             f"{cell['rounds_per_s']:9.0f} {cell['messages_per_s']:10.0f} "
-            f"{cell['peak_rss_kb'] / 1024:8.1f}"
+            f"{rss:>8s}"
         )
     total = sum(cell["wall_s"] for cell in results)
     lines.append(f"{len(results)} cells, total wall {total:.3f}s")

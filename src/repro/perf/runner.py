@@ -11,7 +11,10 @@ embarrassingly.  Two choices matter for measurement quality:
 
 ``jobs=1`` bypasses ``multiprocessing`` entirely and runs in-process —
 used by the unit tests (no fork needed) and available for debugging
-(``--jobs 1`` keeps tracebacks readable).
+(``--jobs 1`` keeps tracebacks readable).  Cells run in one process
+cannot each have a peak of their own (``VmHWM`` only rises), so those
+rows carry no ``peak_rss_kb``; a sharded row keeps its own, measured
+in the child process its cell runs in.
 """
 
 from __future__ import annotations
@@ -68,6 +71,16 @@ def _bench_worker(task: Tuple[_AnyCell, int]) -> CellResult:
     return run_cell(cell, reps=reps)
 
 
+def _inline_worker(task: Tuple[_AnyCell, int]) -> CellResult:
+    """One cell run in this process: its row drops the peak, which
+    would be this process's running ``VmHWM`` (the caller's and every
+    earlier cell's included), not the cell's."""
+    row = _bench_worker(task)
+    if not isinstance(task[0], ShardedCell):
+        del row["peak_rss_kb"]
+    return row
+
+
 def run_matrix(
     cells: Sequence[_AnyCell],
     jobs: Optional[int] = None,
@@ -77,8 +90,8 @@ def run_matrix(
     if jobs is None:
         jobs = default_jobs()
     tasks = [(cell, reps) for cell in cells]
-    if jobs <= 1 or len(cells) <= 1:
-        return [_bench_worker(task) for task in tasks]
+    if jobs <= 1 or not tasks:
+        return [_inline_worker(task) for task in tasks]
     # The spawn start method (not fork): a forked child starts with the
     # CLI process's pages mapped, so its VmHWM would count them; a fresh
     # interpreter's VmHWM counts only what its cell touched.  (Its

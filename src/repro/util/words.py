@@ -15,22 +15,39 @@ Anything else costs 1 word per occurrence (opaque token).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Collection, Dict
+
+_SEQUENCES = (tuple, list, set, frozenset)
+_CONTAINERS = _SEQUENCES + (dict,)
+#: exact item types of a flat payload, one word each.
+_SCALARS = frozenset((int, float, bool, str))
 
 
 def message_words(payload: Any) -> int:
-    """Return the length of ``payload`` in O(log n)-bit words."""
+    """Return the length of ``payload`` in O(log n)-bit words.
+
+    A container's scalar and ``None`` items are counted inline; only a
+    nested container costs a recursive call, so a flat tuple of ints
+    is one pass over its item types.
+    """
     if payload is None:
         return 0
-    if isinstance(payload, (int, float, bool, str)):
+    items: Collection[Any]
+    if isinstance(payload, _SEQUENCES):
+        items = payload
+    elif isinstance(payload, dict):
+        items = (*payload, *payload.values())
+    else:
         return 1
-    if isinstance(payload, (tuple, list, set, frozenset)):
-        return sum(map(message_words, payload))
-    if isinstance(payload, dict):
-        return sum(
-            message_words(k) + message_words(v) for k, v in payload.items()
-        )
-    return 1
+    if _SCALARS.issuperset(map(type, items)):
+        return len(items)
+    words = 0
+    for item in items:
+        if isinstance(item, _CONTAINERS):
+            words += message_words(item)
+        elif item is not None:
+            words += 1
+    return words
 
 
 class WordCounter:

@@ -655,6 +655,46 @@ def test_rep010_rng_module_is_sanctioned(tmp_path):
     assert findings == []
 
 
+@pytest.mark.parametrize("subtrees", [False, True], ids=["src", "subtrees"])
+def test_rep010_partial_tree_resolves_absolute_imports(tmp_path, subtrees):
+    """Modules are named from their package root, not the CLI path, so
+    linting ``repro/core`` and ``repro/analysis`` as two paths still
+    resolves the absolute ``repro.`` import between them."""
+    src = tmp_path / "src"
+    for package in ("repro", "repro/core", "repro/analysis"):
+        (src / package).mkdir(parents=True, exist_ok=True)
+        (src / package / "__init__.py").write_text("", encoding="utf-8")
+    write(
+        src / "repro" / "analysis",
+        "tables.py",
+        """\
+        import time
+
+        def stamp():
+            return time.time()
+        """,
+    )
+    schedule = write(
+        src / "repro" / "core",
+        "schedule.py",
+        """\
+        from repro.analysis.tables import stamp
+
+        def plan():
+            return stamp()
+        """,
+    )
+    roots = (
+        [src / "repro" / "core", src / "repro" / "analysis"]
+        if subtrees
+        else [src]
+    )
+    findings = lint_paths([str(r) for r in roots], rules=[TaintRule()])
+    assert codes(findings) == ["REP010"]
+    assert findings[0].path == str(schedule)
+    assert "repro.analysis.tables.stamp" in findings[0].message
+
+
 def test_rep011_layer_violation_true_positive(tmp_path):
     pkg = tmp_path / "repro"
     (pkg / "core").mkdir(parents=True)

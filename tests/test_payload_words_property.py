@@ -92,6 +92,48 @@ def test_static_model_exact_counts():
     assert message_words((0, "ball", 7)) == 3
 
 
+def test_message_words_counts_none_items_and_nested_containers():
+    # Scalar and None items are counted inline; nested containers recurse.
+    assert message_words((1, None, "x")) == 2
+    assert message_words((None, None)) == 0
+    assert message_words([None]) == 0
+    assert message_words(((1, 2), [3, None, (4,)], None, "ball")) == 5
+    assert message_words(((), [], frozenset())) == 0
+    assert message_words(frozenset({None, 1, "a"})) == 2
+    assert message_words({1: None, (2, 3): (None, 4)}) == 4
+    assert message_words((True, 2.5, object(), (object(), None))) == 4
+
+
+def _reference_words(payload: object) -> int:
+    """The word rules, one recursive call per item."""
+    if payload is None:
+        return 0
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        return sum(_reference_words(item) for item in payload)
+    if isinstance(payload, dict):
+        return sum(
+            _reference_words(k) + _reference_words(v)
+            for k, v in payload.items()
+        )
+    return 1
+
+
+@given(
+    st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5).map(tuple),
+            st.lists(inner, max_size=5),
+            st.frozensets(hashable_scalars, max_size=4),
+            st.dictionaries(hashable_scalars, inner, max_size=3),
+        ),
+        max_leaves=24,
+    )
+)
+def test_message_words_matches_the_recursive_rules(payload):
+    assert message_words(payload) == _reference_words(payload)
+
+
 def test_static_model_declines_dynamic_expressions():
     for source in ("x", "f()", "a + b", "nbrs[0]", "(1, x)"):
         expr = ast.parse(source, mode="eval").body

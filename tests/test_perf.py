@@ -173,6 +173,22 @@ class TestRunMatrix:
         assert before > 0
         assert after - before < buffer_kb // 2
 
+    def test_inline_rows_carry_no_peak(self):
+        """In-process rows cannot each have a peak of their own: after a
+        reliable e1 cell, this process's running peak is that cell's,
+        and a smoke cell run next would report it.  Such rows carry no
+        peak; the spawn pool gives each row its own."""
+        cells = [
+            ReliableCell("baswana_sen", "er", "e1", 1),
+            WorkloadCell("baswana_sen", "grid", "smoke", 1),
+        ]
+        inline = run_matrix(cells, jobs=1, reps=1)
+        assert [row.get("peak_rss_kb") for row in inline] == [None, None]
+        big, small = (
+            row["peak_rss_kb"] for row in run_matrix(cells, jobs=2, reps=1)
+        )
+        assert 0 < small < big
+
 
 class TestDefaultJobs:
     def test_respects_scheduling_affinity(self, monkeypatch):

@@ -9,6 +9,7 @@ registry looks it up: on its defining module.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib
 
 import pytest
@@ -175,3 +176,87 @@ def test_fibonacci_size_budget_uses_the_runs_ell():
     assert spanner.metadata["ell"] == 11
     assert budget == fibonacci_size_bound(host.n, 2, spanner.metadata["ell"])
     assert round(budget) == 144980
+
+
+class TestCollectorPolicy:
+    """A registry run pauses automatic cyclic collection for the whole
+    driver call and hands the caller its own setting back."""
+
+    @pytest.fixture(autouse=True)
+    def _keep_the_collector_setting(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def fake_driver(monkeypatch, protocol, driver):
+        """Replace ``protocol``'s driver on its module."""
+        module_name, _, name = protocol_spec(protocol).driver.partition(":")
+        monkeypatch.setattr(importlib.import_module(module_name), name, driver)
+
+    def test_collector_is_off_inside_a_run(self, monkeypatch):
+        seen = []
+        self.fake_driver(
+            monkeypatch,
+            "baswana_sen",
+            lambda graph, **kwargs: seen.append(gc.isenabled()),
+        )
+        gc.enable()
+        protocol_spec("baswana_sen").run(HOST, seed=1)
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_setting_is_restored(self, monkeypatch, enabled):
+        self.fake_driver(monkeypatch, "baswana_sen", lambda graph, **kw: None)
+        (gc.enable if enabled else gc.disable)()
+        protocol_spec("baswana_sen").run(HOST, seed=1)
+        assert gc.isenabled() is enabled
+
+    def test_the_setting_is_restored_when_the_driver_raises(
+        self, monkeypatch
+    ):
+        def broken(graph, **kwargs):
+            raise RuntimeError("driver failed")
+
+        self.fake_driver(monkeypatch, "baswana_sen", broken)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="driver failed"):
+            protocol_spec("baswana_sen").run(HOST, seed=1)
+        assert gc.isenabled()
+
+    def test_a_nested_run_leaves_the_restore_to_the_outermost(
+        self, monkeypatch
+    ):
+        seen = []
+
+        def outer(graph, **kwargs):
+            protocol_spec("survey").run(graph)
+            seen.append(("outer", gc.isenabled()))
+
+        self.fake_driver(
+            monkeypatch,
+            "survey",
+            lambda graph, **kw: seen.append(("inner", gc.isenabled())),
+        )
+        self.fake_driver(monkeypatch, "baswana_sen", outer)
+        gc.enable()
+        protocol_spec("baswana_sen").run(HOST, seed=1)
+        assert seen == [("inner", False), ("outer", False)]
+        assert gc.isenabled()
+
+    def test_a_run_triggers_no_collection(self):
+        # Large enough that a run with the collector on collects.
+        host = erdos_renyi_gnp(200, 0.05, seed=5)
+        generations = []
+
+        def meter(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(meter)
+        try:
+            run_traced("skeleton", host, seed=1)
+        finally:
+            gc.callbacks.remove(meter)
+        assert generations == []

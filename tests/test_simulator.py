@@ -616,35 +616,40 @@ class TestNoReferenceCycles:
     An :class:`Api` reports to its network's ledger, which holds no
     reference back, so no Api <-> Network cycle waits for the cyclic
     collector.  With the collector off, a whole protocol run leaves
-    nothing for ``gc.collect()`` to find, clean and under the reliable
-    layer.
+    nothing for ``gc.collect()`` to find: clean, under the reliable
+    layer, traced, under a raw fault plan, and at two shards (the
+    coordinator's side).  Registry runs pause the collector on the
+    strength of this (:meth:`ProtocolSpec.run`).
     """
 
-    @pytest.mark.parametrize("reliable", [False, True])
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_run_leaves_no_cyclic_garbage(self, protocol, reliable):
+    @staticmethod
+    def _kwargs(config: str) -> Dict[str, Any]:
+        from repro.distributed import FaultPlan
+
+        def plan() -> FaultPlan:
+            return FaultPlan(
+                seed=5, drop_rate=0.05, duplicate_rate=0.05, delay_rate=0.05
+            )
+
+        return {
+            "clean": lambda: {},
+            "reliable": lambda: {"reliable": True, "fault_plan": plan()},
+            "traced": lambda: {"obs": Obs(recorder=TraceRecorder())},
+            "lossy": lambda: {"fault_plan": plan()},
+            "shards2": lambda: {"shards": 2},
+        }[config]()
+
+    def _assert_run_leaves_nothing(self, protocol: str, config: str) -> None:
         import gc
 
-        from repro.distributed import FaultPlan
         from repro.graphs import erdos_renyi_gnp
         from repro.obs import run_traced
 
         def run(graph):
-            kwargs = {}
-            if reliable:
-                kwargs = dict(
-                    reliable=True,
-                    fault_plan=FaultPlan(
-                        seed=5,
-                        drop_rate=0.05,
-                        duplicate_rate=0.05,
-                        delay_rate=0.05,
-                    ),
-                )
-            run_traced(protocol, graph, seed=11, **kwargs)
+            run_traced(protocol, graph, seed=11, **self._kwargs(config))
 
         # A first run on a small host does the lazy imports (modules and
-        # classes are cycles of their own).
+        # classes are cycles of their own) and starts any worker pool.
         run(erdos_renyi_gnp(12, 0.3, seed=3))
         graph = erdos_renyi_gnp(40, 0.12, seed=3)
         gc.collect()
@@ -655,3 +660,17 @@ class TestNoReferenceCycles:
         finally:
             gc.enable()
         assert freed == 0
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_run_leaves_no_cyclic_garbage(self, protocol, reliable):
+        self._assert_run_leaves_nothing(
+            protocol, "reliable" if reliable else "clean"
+        )
+
+    @pytest.mark.parametrize("config", ["traced", "lossy", "shards2"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_traced_lossy_and_sharded_runs_leave_no_cyclic_garbage(
+        self, protocol, config
+    ):
+        self._assert_run_leaves_nothing(protocol, config)
