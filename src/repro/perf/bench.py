@@ -82,9 +82,10 @@ def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
     is not simulator cost) and every rep runs the identical
     deterministic computation, so counts are asserted equal across
     reps.  A cell with a fault plan runs over the reliable layer, and
-    its row adds ``retransmissions`` and ``dropped``.  ``peak_rss_kb``
-    is this process's ``VmHWM``, the cell's own only in a fresh process
-    (as in :func:`~repro.perf.runner.run_matrix`'s pool).
+    its row adds ``retransmissions`` and ``dropped``.  The row has no
+    ``peak_rss_kb``: this process's peak is the caller's, not the
+    cell's; :func:`~repro.perf.runner.run_matrix`'s pool adds it from
+    the fresh process each cell runs in.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -135,7 +136,6 @@ def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
         "messages_per_s": (
             round(messages / best_wall, 1) if best_wall > 0 else 0.0
         ),
-        "peak_rss_kb": _peak_rss_kb(),
     }
     if plan is not None:
         row["retransmissions"] = retransmissions
@@ -316,7 +316,6 @@ def run_service_cell(cell: ServiceCell, reps: int = 2) -> CellResult:
         "messages_per_s": (
             round(messages / best_wall, 1) if best_wall > 0 else 0.0
         ),
-        "peak_rss_kb": _peak_rss_kb(),
         "qps": best.qps,
         "p50_ms": best.p50_ms,
         "p99_ms": best.p99_ms,
@@ -398,5 +397,4 @@ def run_churn_cell(cell: ChurnCell, reps: int = 2) -> CellResult:
         "messages_per_s": (
             round(messages / best_wall, 1) if best_wall > 0 else 0.0
         ),
-        "peak_rss_kb": _peak_rss_kb(),
     }

@@ -12,9 +12,9 @@ embarrassingly.  Two choices matter for measurement quality:
 ``jobs=1`` bypasses ``multiprocessing`` entirely and runs in-process —
 used by the unit tests (no fork needed) and available for debugging
 (``--jobs 1`` keeps tracebacks readable).  Cells run in one process
-cannot each have a peak of their own (``VmHWM`` only rises), so those
-rows carry no ``peak_rss_kb``; a sharded row keeps its own, measured
-in the child process its cell runs in.
+cannot each have a peak of their own (``VmHWM`` only rises), so only
+the pool worker adds ``peak_rss_kb`` to a row; a sharded row carries
+its own, measured in the child process its cell runs in.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.perf.bench import (
     CellResult,
+    _peak_rss_kb,
     run_cell,
     run_churn_cell,
     run_service_cell,
@@ -56,8 +57,8 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _bench_worker(task: Tuple[_AnyCell, int]) -> CellResult:
-    """Module-level worker so it pickles under the spawn start method."""
+def _run_cell(task: Tuple[_AnyCell, int]) -> CellResult:
+    """One cell's row, measured in this process."""
     cell, reps = task
     if isinstance(cell, ChurnCell):
         return run_churn_cell(cell, reps=reps)
@@ -71,13 +72,14 @@ def _bench_worker(task: Tuple[_AnyCell, int]) -> CellResult:
     return run_cell(cell, reps=reps)
 
 
-def _inline_worker(task: Tuple[_AnyCell, int]) -> CellResult:
-    """One cell run in this process: its row drops the peak, which
-    would be this process's running ``VmHWM`` (the caller's and every
-    earlier cell's included), not the cell's."""
-    row = _bench_worker(task)
-    if not isinstance(task[0], ShardedCell):
-        del row["peak_rss_kb"]
+def _bench_worker(task: Tuple[_AnyCell, int]) -> CellResult:
+    """Module-level worker so it pickles under the spawn start method.
+
+    It runs one cell in a fresh process, so that process's peak is the
+    cell's own.
+    """
+    row = _run_cell(task)
+    row["peak_rss_kb"] = _peak_rss_kb()
     return row
 
 
@@ -91,7 +93,7 @@ def run_matrix(
         jobs = default_jobs()
     tasks = [(cell, reps) for cell in cells]
     if jobs <= 1 or not tasks:
-        return [_inline_worker(task) for task in tasks]
+        return [_run_cell(task) for task in tasks]
     # The spawn start method (not fork): a forked child starts with the
     # CLI process's pages mapped, so its VmHWM would count them; a fresh
     # interpreter's VmHWM counts only what its cell touched.  (Its

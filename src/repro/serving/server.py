@@ -9,9 +9,11 @@ One request per line, one response per line, matched by ``id``::
 Operations: ``ping``, ``dist``, ``route``, ``label``, ``stats``, and
 ``shutdown`` (graceful: the server answers, finishes the in-flight
 batch, then stops accepting and closes).  Unreachable pairs answer
-``null`` — never ``Infinity``, which is not JSON.  Malformed lines
-answer ``{"ok": false, "error": ...}`` rather than killing the
-connection.
+``null`` — never ``Infinity``, which is not JSON.  A malformed line
+(not JSON, not UTF-8, nested too deep to decode, a non-finite number
+as a vertex or the id, or longer than :data:`LINE_LIMIT` bytes) is
+answered with ``{"ok": false, "error": ...}``; the connection stays
+open and every other request is served as before.
 
 Two layers:
 
@@ -24,14 +26,19 @@ Two layers:
   ``DistanceOracle.query`` would compute.
 * :class:`SpannerServer` — the asyncio shell: every connection feeds
   one shared queue; a single drainer task collects whatever arrived
-  by the current event-loop tick and serves it as one batch
-  (amortizing writes and keeping single-connection streams in strict
-  arrival order, which is what makes bench counts replayable).
+  by the current event-loop tick and serves it as one batch, keeping
+  single-connection streams in strict arrival order (which is what
+  makes bench counts replayable).  A batch's responses are grouped by
+  connection: each connection gets its batch's bytes in one ``write``,
+  and the drains follow all the writes.
 
 Metrics land in a :class:`repro.obs.metrics.MetricsRegistry`
 (``serving_requests``, ``serving_cache_events``,
-``serving_batch_size``, ``serving_service_us``) — the ``stats`` op
-snapshots them for clients.
+``serving_batch_size``, ``serving_service_us``); ``metrics.snapshot()``
+dumps them, and the ``stats`` op serves the plain request and cache
+counters.  The service resolves each metric it updates per request
+from the registry the first time it is used and updates that handle
+after, so a request pays no registry lookup.
 """
 
 from __future__ import annotations
@@ -42,12 +49,22 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.serving.artifact import ArtifactBundle
 
-__all__ = ["QueryService", "ServiceError", "SpannerServer"]
+__all__ = ["LINE_LIMIT", "QueryService", "ServiceError", "SpannerServer"]
 
 INF = float("inf")
+
+#: the longest request line the server reads, newline excluded
+#: (asyncio's stream default).  A longer line is answered with an error
+#: and discarded through its newline.
+LINE_LIMIT = 2**16
+
+#: the one response encoder: the text ``json.dumps(response,
+#: sort_keys=True, allow_nan=False)`` gives, without a new encoder per
+#: response.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 class ServiceError(ValueError):
@@ -94,6 +111,11 @@ class QueryService:
         self.hits_lru = 0
         self.hits_landmark = 0
         self.misses = 0
+        # Metric handles, resolved from the registry on first use, so a
+        # metric appears in a snapshot only once it is used.
+        self._tier_counters: Dict[str, Counter] = {}
+        self._op_counters: Dict[Tuple[str, bool], Counter] = {}
+        self._service_us: Optional[Histogram] = None
 
         # Landmark tier: the most elite non-empty sampled level of the
         # oracle.  Those vertices' clusters are unbounded, so they are
@@ -124,7 +146,12 @@ class QueryService:
         return v
 
     def _cache_event(self, tier: str) -> None:
-        self.metrics.counter("serving_cache_events", tier=tier).inc()
+        counter = self._tier_counters.get(tier)
+        if counter is None:
+            counter = self._tier_counters[tier] = self.metrics.counter(
+                "serving_cache_events", tier=tier
+            )
+        counter.inc()
 
     def _lru_put(
         self,
@@ -270,19 +297,49 @@ class QueryService:
         except ServiceError as exc:
             self._count_op(op, ok=False)
             return {"id": rid, "ok": False, "error": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of an infinite float (Infinity, 1e400).
             self._count_op(op, ok=False)
             return {"id": rid, "ok": False, "error": f"bad request: {exc}"}
         self._count_op(op, ok=True)
-        self.metrics.histogram("serving_service_us").observe(
-            (perf_counter() - started) * 1e6
-        )
+        histogram = self._service_us
+        if histogram is None:
+            histogram = self._service_us = self.metrics.histogram(
+                "serving_service_us"
+            )
+        histogram.observe((perf_counter() - started) * 1e6)
         return {"id": rid, "ok": True, "value": value}
 
     def _count_op(self, op: Any, ok: bool) -> None:
-        self.metrics.counter(
-            "serving_requests", op=str(op), ok=str(ok).lower()
-        ).inc()
+        key = (str(op), ok)
+        counter = self._op_counters.get(key)
+        if counter is None:
+            counter = self._op_counters[key] = self.metrics.counter(
+                "serving_requests", op=key[0], ok=str(ok).lower()
+            )
+        counter.inc()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line: ``b""`` at end of input, ``None`` for a
+    line longer than :data:`LINE_LIMIT`, discarded through its newline.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # input ended; the last line has no newline
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    # Drop what the reader scanned, and read on until the newline.
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None  # input ended inside the line
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 class SpannerServer:
@@ -317,7 +374,7 @@ class SpannerServer:
         # the wrong one when the server object is built outside
         # asyncio.run().
         self._queue: Optional[
-            "asyncio.Queue[Tuple[bytes, asyncio.StreamWriter]]"
+            "asyncio.Queue[Tuple[Optional[bytes], asyncio.StreamWriter]]"
         ] = None
         self._drainer: Optional["asyncio.Task[None]"] = None
         self._closed: Optional[asyncio.Event] = None
@@ -329,11 +386,14 @@ class SpannerServer:
         self._closed = asyncio.Event()
         if self.unix_path is not None:
             self._server = await asyncio.start_unix_server(
-                self._on_connect, path=self.unix_path
+                self._on_connect, path=self.unix_path, limit=LINE_LIMIT
             )
         else:
             self._server = await asyncio.start_server(
-                self._on_connect, host=self.host, port=self.port
+                self._on_connect,
+                host=self.host,
+                port=self.port,
+                limit=LINE_LIMIT,
             )
             sockets = self._server.sockets or []
             if sockets:
@@ -349,14 +409,14 @@ class SpannerServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
+                    line = await _read_line(reader)
+                except ConnectionError:
                     break
                 except asyncio.CancelledError:
                     # Teardown closed us mid-read; exit quietly rather
                     # than let the streams callback log the cancel.
                     break
-                if not line:
+                if line == b"":
                     break
                 await self._queue.put((line, writer))
         finally:
@@ -369,7 +429,12 @@ class SpannerServer:
                 pass
 
     async def _drain_loop(self) -> None:
-        """Serve batches: everything queued by this tick is one batch."""
+        """Serve batches: everything queued by this tick is one batch.
+
+        The batch's responses are collected per connection in arrival
+        order; each connection then gets them in one ``write``, and the
+        connections written to are drained after all the writes.
+        """
         assert self._queue is not None
         while not self._shutting_down:
             first = await self._queue.get()
@@ -382,24 +447,19 @@ class SpannerServer:
             self.service.metrics.histogram("serving_batch_size").observe(
                 len(batch)
             )
-            touched: List[asyncio.StreamWriter] = []
+            responses: Dict[asyncio.StreamWriter, List[str]] = {}
             for line, writer in batch:
-                response = self._serve_line(line)
-                if not writer.is_closing():
-                    writer.write(
-                        json.dumps(
-                            response, sort_keys=True, allow_nan=False
-                        ).encode()
-                        + b"\n"
-                    )
-                    if writer not in touched:
-                        touched.append(writer)
+                responses.setdefault(writer, []).append(self._serve_line(line))
                 self._served += 1
                 if (
                     self.max_requests is not None
                     and self._served >= self.max_requests
                 ):
                     self._shutting_down = True
+            touched = [w for w in responses if not w.is_closing()]
+            for writer in touched:
+                text = "\n".join(responses[writer]) + "\n"
+                writer.write(text.encode())
             for writer in touched:
                 try:
                     await writer.drain()
@@ -407,10 +467,28 @@ class SpannerServer:
                     pass
         await self._finish()
 
-    def _serve_line(self, line: bytes) -> Dict[str, Any]:
+    def _serve_line(self, line: Optional[bytes]) -> str:
+        """The response to one request line, as JSON text (no newline);
+        ``None`` stands for a line over :data:`LINE_LIMIT`."""
+        response = self._answer(line)
+        try:
+            return _encode(response)
+        except ValueError as exc:  # a non-finite id (Infinity, 1e400)
+            return _encode(
+                {"id": None, "ok": False, "error": f"bad id: {exc}"}
+            )
+
+    def _answer(self, line: Optional[bytes]) -> Dict[str, Any]:
+        if line is None:
+            return {
+                "id": None,
+                "ok": False,
+                "error": f"request line longer than {LINE_LIMIT} bytes",
+            }
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # not JSON, not UTF-8, too many digits, nested too deep
             return {"id": None, "ok": False, "error": f"bad JSON: {exc}"}
         if not isinstance(request, dict):
             return {"id": None, "ok": False, "error": "request not an object"}

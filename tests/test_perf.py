@@ -19,10 +19,19 @@ from repro.perf import (
     run_matrix,
     smoke_matrix,
 )
-from repro.perf.bench import run_sharded_cell
+from repro.perf.bench import (
+    run_churn_cell,
+    run_service_cell,
+    run_sharded_cell,
+)
 from repro.perf.cli import build_report, main as bench_main
 from repro.perf.runner import default_jobs
-from repro.perf.workloads import ShardedCell, sharded_matrix
+from repro.perf.workloads import (
+    ChurnCell,
+    ServiceCell,
+    ShardedCell,
+    sharded_matrix,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -99,8 +108,18 @@ class TestRunCell:
         for name in ("rounds", "messages", "words", "n", "m"):
             assert first[name] == second[name]
         assert first["wall_s"] > 0
-        assert first["peak_rss_kb"] > 0
+        # A direct call's process peak is the caller's, not the cell's:
+        # only the pool, one fresh process per cell, records it.
+        assert "peak_rss_kb" not in first
+        (pooled,) = run_matrix([_tiny_cell()], jobs=2, reps=1)
+        assert pooled["peak_rss_kb"] > 0
         assert first["cell_id"] == "baswana_sen/grid/smoke/s1"
+
+    def test_direct_service_and_churn_rows_carry_no_peak(self):
+        service = run_service_cell(ServiceCell("grid", "smoke", 1, "zipf"))
+        churn = run_churn_cell(ChurnCell("grid", "smoke", 1, 2), reps=1)
+        assert "peak_rss_kb" not in service
+        assert "peak_rss_kb" not in churn
 
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError):

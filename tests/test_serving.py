@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import logging
 
 import pytest
 
@@ -24,10 +25,23 @@ from repro.serving import (
     save_bundle,
 )
 from repro.serving.loadgen import percentile
+from repro.serving.server import LINE_LIMIT
 
 
 def _smoke_bundle(seed: int = 1, k: int = 2):
     return build_bundle("er", "smoke", seed, k=k)
+
+
+def _wire(response) -> bytes:
+    """A response as the server puts it on the wire."""
+    return (
+        json.dumps(response, sort_keys=True, allow_nan=False).encode() + b"\n"
+    )
+
+
+async def _readline(reader):
+    """One response line, failing the test rather than hanging."""
+    return await asyncio.wait_for(reader.readline(), timeout=5)
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +188,48 @@ class TestQueryService:
             {"id": 2, "op": "dist"},  # missing vertices
             {"id": 3, "op": "warp", "u": 0, "v": 1},  # unknown op
             {"id": 4, "op": "dist", "u": "x", "v": 1},  # non-int vertex
+            # non-finite vertices, as json.loads reads them off the wire
+            json.loads('{"id": 5, "op": "dist", "u": Infinity, "v": 2}'),
+            json.loads('{"id": 6, "op": "route", "u": 0, "v": -Infinity}'),
+            json.loads('{"id": 7, "op": "label", "v": 1e400}'),
         ):
             response = service.handle_request(request)
             assert response["ok"] is False
             assert response["id"] == request["id"]
+
+    def test_metrics_snapshot_pinned(self, bundle):
+        """Each metric appears once it is first used and counts every
+        use after; the landmark tier, never hit here, has no entry."""
+        service = QueryService(bundle)
+        assert 0 not in service.landmarks and 7 not in service.landmarks
+        for request in (
+            {"id": 1, "op": "dist", "u": 0, "v": 7},  # miss
+            {"id": 2, "op": "dist", "u": 7, "v": 0},  # lru
+            {"id": 3, "op": "route", "u": 0, "v": 7},  # miss
+            {"id": 4, "op": "route", "u": 7, "v": 0},  # lru
+            {"id": 5, "op": "dist", "u": 0, "v": 7},  # lru
+            {"id": 6, "op": "label", "v": 3},
+            {"id": 7, "op": "dist", "u": 2, "v": 2},  # no cache probe
+            {"id": 8, "op": "warp"},
+            {"id": 9, "op": "dist", "u": 0},
+            {"id": 10, "op": "dist", "u": 0, "v": 10**9},
+            {"id": 11, "op": "ping"},
+        ):
+            service.handle_request(request)
+        snapshot = service.metrics.snapshot()
+        timing = snapshot.pop("serving_service_us")
+        assert snapshot == {
+            "serving_cache_events{tier=lru}": 3,
+            "serving_cache_events{tier=miss}": 2,
+            "serving_requests{ok=false,op=dist}": 2,
+            "serving_requests{ok=false,op=warp}": 1,
+            "serving_requests{ok=true,op=dist}": 4,
+            "serving_requests{ok=true,op=label}": 1,
+            "serving_requests{ok=true,op=ping}": 1,
+            "serving_requests{ok=true,op=route}": 2,
+        }
+        assert timing["count"] == 8
+        assert 0 <= timing["min"] <= timing["max"]
 
     def test_stats_counts_probes(self, bundle):
         service = QueryService(bundle, cache_size=64, landmarks=4)
@@ -313,6 +365,215 @@ class TestSpannerServer:
         got, max_batch = asyncio.run(_run())
         assert [r["id"] for r in got] == list(range(50))  # arrival order
         assert max_batch > 1
+
+    #: lines the server must answer ``ok: false`` and serve on after:
+    #: not UTF-8, infinite vertices, a non-finite id, an integer too
+    #: long to convert, arrays nested too deep to decode.
+    HOSTILE = (
+        b'{"id": 1, "op": "\xff"}',
+        b'{"id": 2, "op": "dist", "u": Infinity, "v": 2}',
+        b'{"id": 3, "op": "dist", "u": 1e400, "v": 2}',
+        b'{"id": Infinity, "op": "ping"}',
+        b"1" * 5000,
+        b"[" * 30000,
+    )
+
+    def test_hostile_lines_answered_and_serving_goes_on(self, bundle):
+        async def _run():
+            server = SpannerServer(QueryService(bundle), port=0)
+            await server.start()
+            assert server.address is not None
+            reader, writer = await asyncio.open_connection(*server.address)
+            answers = []
+            for line in self.HOSTILE + (b'{"id": "after", "op": "ping"}',):
+                writer.write(line + b"\n")
+                await writer.drain()
+                answers.append(json.loads(await _readline(reader)))
+            other_reader, other = await asyncio.open_connection(
+                *server.address
+            )
+            other.write(b'{"id": "other", "op": "ping"}\n')
+            await other.drain()
+            answers.append(json.loads(await _readline(other_reader)))
+            writer.close()
+            other.close()
+            await server.close()
+            return answers
+
+        *bad, after, other = asyncio.run(_run())
+        assert [a["ok"] for a in bad] == [False] * len(self.HOSTILE)
+        assert [a["id"] for a in bad] == [None, 2, 3, None, None, None]
+        assert after == {"id": "after", "ok": True, "value": "pong"}
+        assert other == {"id": "other", "ok": True, "value": "pong"}
+
+    @pytest.mark.parametrize("size", [70_000, 3 * LINE_LIMIT + 5])
+    def test_over_long_line_answered_and_connection_kept(
+        self, bundle, caplog, size
+    ):
+        async def _run():
+            server = SpannerServer(QueryService(bundle), port=0)
+            await server.start()
+            assert server.address is not None
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(b"x" * size + b"\n" + b'{"id": 1, "op": "ping"}\n')
+            await writer.drain()
+            answers = [await _readline(reader), await _readline(reader)]
+            # Nothing else was answered: the next line is the bye.
+            writer.write(b'{"id": "bye", "op": "shutdown"}\n')
+            await writer.drain()
+            answers.append(await _readline(reader))
+            writer.close()
+            await asyncio.wait_for(server.wait_closed(), timeout=5)
+            return answers
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            too_long, ping, bye = map(json.loads, asyncio.run(_run()))
+        assert too_long == {
+            "id": None,
+            "ok": False,
+            "error": f"request line longer than {LINE_LIMIT} bytes",
+        }
+        assert ping == {"id": 1, "ok": True, "value": "pong"}
+        assert bye == {"id": "bye", "ok": True, "value": "bye"}
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == []
+
+    def test_read_limit_boundary(self, bundle):
+        request = b'{"id": "edge", "op": "ping"}'
+        at_limit = request + b" " * (LINE_LIMIT - len(request))
+        responses = self._ask(
+            bundle, [at_limit.decode(), at_limit.decode() + " "]
+        )
+        at, over, _bye = responses
+        assert at == {"id": "edge", "ok": True, "value": "pong"}
+        assert over["ok"] is False and str(LINE_LIMIT) in over["error"]
+
+    def test_pipelined_burst_bytes_match_a_fresh_service(self, bundle):
+        """One pipelined burst of every kind of line gets, byte for byte,
+        what ``json.dumps(..., sort_keys=True, allow_nan=False)`` makes of
+        a fresh service's answers, in order."""
+        queries = make_queries(
+            sorted(bundle.graph.vertices()), 60, mix="zipf", seed=5
+        )
+        assert {q["op"] for q in queries} == {"dist", "route", "label"}
+        lines = [json.dumps(q).encode() for q in queries]
+        lines[10:10] = [
+            b'{"id": "s", "op": "stats"}',
+            b'{"id": "w", "op": "warp"}',
+            b"not json",
+            b'{"id": "u", "op": "dist", "u": 0, "v": 1000000000}',
+        ]
+        lines.append(b'{"id": "s2", "op": "stats"}')
+
+        async def _run():
+            server = SpannerServer(QueryService(bundle), port=0)
+            await server.start()
+            assert server.address is not None
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(b"".join(line + b"\n" for line in lines))
+            await writer.drain()
+            got = [await _readline(reader) for _ in lines]
+            writer.close()
+            await server.close()
+            return b"".join(got)
+
+        fresh = QueryService(bundle)
+        expected = []
+        for line in lines:
+            try:
+                request = json.loads(line)
+            except ValueError as exc:
+                error = f"bad JSON: {exc}"
+                response = {"id": None, "ok": False, "error": error}
+            else:
+                response = fresh.handle_request(request)
+            expected.append(_wire(response))
+        assert asyncio.run(_run()) == b"".join(expected)
+
+    def test_burst_reaches_the_transport_in_one_write_per_batch(
+        self, bundle, monkeypatch
+    ):
+        writes = []
+        write = asyncio.StreamWriter.write
+
+        def counted(writer, data):
+            writes.append((writer, data))
+            return write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+
+        async def _run():
+            service = QueryService(bundle)
+            server = SpannerServer(service, port=0)
+            await server.start()
+            assert server.address is not None
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(
+                b"".join(
+                    json.dumps(
+                        {"id": rid, "op": "dist", "u": 0, "v": rid}
+                    ).encode()
+                    + b"\n"
+                    for rid in range(16)
+                )
+            )
+            await writer.drain()
+            got = [await _readline(reader) for _ in range(16)]
+            batches = service.metrics.histogram("serving_batch_size").count
+            served = [data for w, data in writes if w is not writer]
+            writer.close()
+            await server.close()
+            return got, batches, served
+
+        got, batches, served = asyncio.run(_run())
+        assert len(served) <= batches < 16
+        assert b"".join(served) == b"".join(got)
+
+    def test_two_connections_in_one_batch_keep_their_own_order(self, bundle):
+        def burst(tag):
+            return [
+                {"id": f"{tag}{i}", "op": "dist", "u": i, "v": 40 + i}
+                for i in range(8)
+            ]
+
+        async def _run():
+            service = QueryService(bundle)
+            server = SpannerServer(service, port=0)
+            await server.start()
+            assert server.address is not None
+            clients = []
+            for tag in "ab":
+                reader, writer = await asyncio.open_connection(
+                    *server.address
+                )
+                writer.write(b'{"id": "hello", "op": "ping"}\n')
+                await writer.drain()
+                await _readline(reader)
+                clients.append((tag, reader, writer))
+            # Both bursts leave in this one step of the loop, so the
+            # server reads both before its drainer runs again.
+            for tag, _, writer in clients:
+                writer.write(
+                    b"".join(
+                        json.dumps(q).encode() + b"\n" for q in burst(tag)
+                    )
+                )
+            answers = {}
+            for tag, reader, writer in clients:
+                answers[tag] = [
+                    json.loads(await _readline(reader)) for _ in range(8)
+                ]
+                writer.close()
+            largest = service.metrics.histogram("serving_batch_size").max
+            await server.close()
+            return answers, largest
+
+        answers, largest = asyncio.run(_run())
+        assert largest == 16  # both bursts were one batch
+        fresh = QueryService(bundle)
+        for tag in "ab":
+            expected = [fresh.handle_request(q) for q in burst(tag)]
+            assert answers[tag] == expected
 
 
 class TestLoadgen:
